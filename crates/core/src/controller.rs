@@ -18,8 +18,8 @@
 //!   on the earliest conflicting op's shard with no southbound
 //!   traffic, and released — its gets finally issued — once every
 //!   conflicting op on the other shards has closed. Disjoint
-//!   transfers land on different shards and share no state, no
-//!   ledgers, and (in concurrent embeddings) no locks.
+//!   transfers land on different shards and share no state and no
+//!   ledgers.
 //! * **Southbound messages** demux by op-id residue: shard `s` of `N`
 //!   allocates ids `≡ s + 1 (mod N)`, so ownership is `(id - 1) % N` —
 //!   O(1) arithmetic, nothing shared. Op-less introspection events
@@ -34,9 +34,11 @@
 //! state together.
 //!
 //! Concurrency note: this type is single-threaded by design (the sim
-//! embedding must stay deterministic). Real-thread parallelism over the
-//! same shards lives in [`crate::parallel::ShardedController`], which
-//! wraps each shard in its own lock so disjoint shards never contend.
+//! embedding must stay deterministic), and it is the only controller
+//! state machine. Both embeddings drive it: the simulator's
+//! `ControllerNode` owns one directly, and [`crate::tcp::TcpController`]
+//! puts one behind a single lock that its pump thread and blocking
+//! northbound callers take for one core call at a time.
 
 use openmb_obs::{HealthSnapshot, LedgerHealth, NodeTag, Recorder, ShardHealth, SpanEvent};
 use openmb_simnet::SimTime;
@@ -146,7 +148,7 @@ impl ControllerCore {
     pub fn set_recorder(&mut self, rec: Recorder) {
         let tag = rec.register("controller");
         for sh in &mut self.shards {
-            sh.set_recorder_with_tag(rec.clone(), tag);
+            sh.set_recorder(rec.clone(), tag);
         }
     }
 
@@ -1020,8 +1022,8 @@ mod tests {
         let mbs: Vec<MbId> = (0..8).map(|_| core.register_mb()).collect();
         // Two disjoint moves whose hash placements differ (such a pair
         // exists: the bench subnets spread over more than one shard).
-        let place =
-            |i: usize| ShardRouter::hash_placement(4, &subnet(i as u8), mbs[2 * i], mbs[2 * i + 1]);
+        let router = ShardRouter::new(4);
+        let place = |i: usize| router.hash_shard(&subnet(i as u8), mbs[2 * i], mbs[2 * i + 1]);
         let (i, j) = (0..4)
             .flat_map(|a| (0..4).map(move |b| (a, b)))
             .find(|&(a, b)| a != b && place(a) != place(b))
@@ -1301,8 +1303,8 @@ mod tests {
         let mut core =
             ControllerCore::new(ControllerConfig { shards: 4, ..ControllerConfig::default() });
         let mbs: Vec<MbId> = (0..8).map(|_| core.register_mb()).collect();
-        let place =
-            |i: usize| ShardRouter::hash_placement(4, &subnet(i as u8), mbs[2 * i], mbs[2 * i + 1]);
+        let router = ShardRouter::new(4);
+        let place = |i: usize| router.hash_shard(&subnet(i as u8), mbs[2 * i], mbs[2 * i + 1]);
         let (i, j) = (0..4)
             .flat_map(|a| (0..4).map(move |b| (a, b)))
             .find(|&(a, b)| a != b && place(a) != place(b))

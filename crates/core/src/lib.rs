@@ -2,29 +2,27 @@
 //!
 //! The OpenMB MB controller (§5 of the paper) and its embeddings.
 //!
-//! * [`controller::ControllerCore`] — the sharded controller facade:
-//!   northbound operations (`readConfig`, `writeConfig`, `stats`,
-//!   `moveInternal`, `cloneSupport`, `mergeInternal`) admitted onto
-//!   flowspace shards by the [`router::ShardRouter`] conflict detector.
+//! * [`controller::ControllerCore`] — the sharded controller facade, the
+//!   one state machine both embeddings drive: northbound operations
+//!   (`readConfig`, `writeConfig`, `stats`, `moveInternal`,
+//!   `cloneSupport`, `mergeInternal`) admitted onto flowspace shards by
+//!   the [`router::ShardRouter`] conflict detector.
 //! * [`shard::ControllerShard`] — one shard's pure state machine:
 //!   Figure 5 choreography, per-key reprocess-event buffering,
 //!   quiescence-driven deletes, per-shard transfer/delete ledgers.
-//! * [`parallel::ShardedController`] — the same facade behind per-shard
-//!   locks, so OS threads drive disjoint shards concurrently.
 //! * [`app`] — the control-application trait and the [`app::Api`] that
 //!   unifies MB-state control with SDN routing updates and timers.
 //! * [`nodes`] — discrete-event-simulation embeddings: [`nodes::MbNode`]
 //!   (a middlebox with its processing-cost queue), [`nodes::ControllerNode`]
 //!   (controller + SDN routing + control app), [`nodes::Host`].
-//! * [`tcp`] — the same controller core served over real loopback TCP
-//!   with the binary wire protocol, proving the protocol is transport-
-//!   independent.
+//! * [`tcp`] — the same `ControllerCore`, behind one lock, served over
+//!   real loopback TCP with the binary wire protocol, proving the
+//!   protocol is transport-independent.
 
 pub mod app;
 pub mod chain;
 pub mod controller;
 pub mod nodes;
-pub mod parallel;
 pub mod placement;
 pub mod router;
 pub mod shard;
@@ -34,7 +32,6 @@ pub use app::{Api, ApiCtx, ControlApp, NullApp};
 pub use chain::{ChainHop, ChainSpec, ChainStatus, CHAIN_OP_BASE};
 pub use controller::{Action, Completion, ControllerConfig, ControllerCore};
 pub use nodes::{ControllerCosts, ControllerNode, Host, MbNode};
-pub use parallel::ShardedController;
 pub use placement::{select_destination, PlacementCandidate};
 pub use router::{Admission, Route, ShardRouter};
 pub use shard::{ControllerShard, TransferKind};

@@ -1206,11 +1206,15 @@ pub struct Host {
     /// Where self-injected packets are sent (the access switch).
     forward_to: Option<NodeId>,
     label: String,
+    /// `<label>.delivered`, formatted once at construction.
+    delivered_metric: String,
 }
 
 impl Host {
     pub fn new(label: impl Into<String>) -> Self {
-        Host { received: Vec::new(), forward_to: None, label: label.into() }
+        let label = label.into();
+        let delivered_metric = format!("{label}.delivered");
+        Host { received: Vec::new(), forward_to: None, label, delivered_metric }
     }
 
     /// Configure as a traffic source: frames injected *at this host*
@@ -1236,7 +1240,7 @@ impl Node for Host {
                     return;
                 }
             }
-            ctx.metrics.incr(&format!("{}.delivered", self.label), 1);
+            ctx.metrics.incr(&self.delivered_metric, 1);
             self.received.push((ctx.now(), pkt));
         }
     }

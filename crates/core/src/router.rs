@@ -32,8 +32,8 @@
 //! 2. **Demux** — which shard owns an incoming southbound message?
 //!    Shards allocate op ids from disjoint residue classes
 //!    (shard `s` of `N` hands out ids `≡ s + 1 (mod N)`), so ownership
-//!    of any op-carrying message is `(id - 1) % N`: O(1), no shared
-//!    table, nothing to lock on the hot path. Only `Introspection`
+//!    of any op-carrying message is `(id - 1) % N`: O(1), no table
+//!    lookup on the hot path. Only `Introspection`
 //!    events carry no op id; those route via the subscription table
 //!    written at `enableEvents` time.
 //!
@@ -170,46 +170,28 @@ impl ShardRouter {
         }
     }
 
-    /// Number of shards routed over.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
     /// Number of transfers currently pinned in the conflict table.
     pub fn active_transfers(&self) -> usize {
         self.active.len()
     }
 
-    /// The hash-only placement for `(flowspace, src, dst)` given a
-    /// shard count — where an op goes when nothing conflicts. Pure
-    /// arithmetic over the key: needs no router state, so concurrent
-    /// embeddings call it without any lock.
-    pub fn hash_placement(shards: usize, pattern: &HeaderFieldList, src: MbId, dst: MbId) -> usize {
+    /// The hash-only placement for `(flowspace, src, dst)` — where an
+    /// op goes when nothing conflicts.
+    pub fn hash_shard(&self, pattern: &HeaderFieldList, src: MbId, dst: MbId) -> usize {
         // FNV-1a's low bits disperse poorly when only a byte or two of
         // the key varies (a small shard count reduces mod a power of
         // two, i.e. reads only those bits), so fold the high half down
         // before taking the residue.
         let h = fnv1a(shard_key_bytes(pattern, src, dst));
-        ((h ^ (h >> 32)) % shards.max(1) as u64) as usize
-    }
-
-    /// [`ShardRouter::hash_placement`] over this router's shard count.
-    pub fn hash_shard(&self, pattern: &HeaderFieldList, src: MbId, dst: MbId) -> usize {
-        Self::hash_placement(self.shards, pattern, src, dst)
+        ((h ^ (h >> 32)) % self.shards as u64) as usize
     }
 
     /// Placement for a simple (non-transfer) request against one MB:
     /// hash of the MB pair degenerated to `(mb, mb)` with a wildcard
     /// flowspace. Simple requests are self-contained and idempotent, so
-    /// they need no conflict entry — and, being pure arithmetic, no
-    /// router lock.
-    pub fn place_simple(shards: usize, mb: MbId) -> usize {
-        Self::hash_placement(shards, &HeaderFieldList::any(), mb, mb)
-    }
-
-    /// [`ShardRouter::place_simple`] over this router's shard count.
+    /// they need no conflict entry.
     pub fn route_simple(&self, mb: MbId) -> usize {
-        Self::place_simple(self.shards, mb)
+        self.hash_shard(&HeaderFieldList::any(), mb, mb)
     }
 
     /// Admit a transfer. With no conflicting live transfer the hash
@@ -366,42 +348,25 @@ impl ShardRouter {
         }
     }
 
-    /// Owning shard of an op id given a shard count, from its residue
-    /// class. `OpId(0)` is never allocated — callers use it as a "no
-    /// particular op" sentinel for aggregate stats — and maps to
-    /// shard 0. Pure arithmetic: no router state, no lock.
-    pub fn owner_of_op(shards: usize, op: OpId) -> usize {
-        (op.0.saturating_sub(1) % shards.max(1) as u64) as usize
-    }
-
-    /// [`ShardRouter::owner_of_op`] over this router's shard count.
+    /// Owning shard of an op id, from its residue class. `OpId(0)` is
+    /// never allocated — callers use it as a "no particular op"
+    /// sentinel for aggregate stats — and maps to shard 0.
     pub fn shard_of_op(&self, op: OpId) -> usize {
-        Self::owner_of_op(self.shards, op)
+        (op.0.saturating_sub(1) % self.shards as u64) as usize
     }
 
-    /// Residue-arithmetic demux for op-carrying messages: resolves
-    /// every message that names an op (acks, chunks, reprocess events)
-    /// from the shard count alone — no router state, so concurrent
-    /// embeddings route the southbound hot path without any lock.
-    /// `None` for the rare message that needs the subscription table.
-    pub fn route_by_op(shards: usize, msg: &Message) -> Option<Route> {
+    /// Demux an incoming southbound message to its owning shard. Every
+    /// message that names an op (acks, chunks, reprocess events) routes
+    /// by residue arithmetic; only op-less introspection events need
+    /// the subscription table.
+    pub fn route_message(&self, from: MbId, msg: &Message) -> Route {
         if let Some(op) = msg.op_id() {
-            return Some(Route::Shard(Self::owner_of_op(shards, op)));
+            return Route::Shard(self.shard_of_op(op));
         }
         match msg {
             Message::EventMsg { event: Event::Reprocess { op, .. } } => {
-                Some(Route::Shard(Self::owner_of_op(shards, *op)))
+                Route::Shard(self.shard_of_op(*op))
             }
-            _ => None,
-        }
-    }
-
-    /// Demux an incoming southbound message to its owning shard.
-    pub fn route_message(&self, from: MbId, msg: &Message) -> Route {
-        if let Some(route) = Self::route_by_op(self.shards, msg) {
-            return route;
-        }
-        match msg {
             Message::EventMsg { event: Event::Introspection { .. } } => self
                 .subs
                 .iter()

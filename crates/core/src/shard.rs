@@ -515,12 +515,6 @@ pub struct ControllerShard {
 }
 
 impl ControllerShard {
-    /// A standalone single-shard controller: op ids `1, 2, 3, …` —
-    /// exactly the pre-sharding allocation order.
-    pub fn new(config: ControllerConfig) -> Self {
-        Self::with_op_space(config, 1, 1)
-    }
-
     /// A shard allocating op ids from its own residue class: `first`,
     /// `first + stride`, `first + 2·stride`, … The facade constructs
     /// shard `s` of `N` with `(s + 1, N)`.
@@ -553,20 +547,14 @@ impl ControllerShard {
         }
     }
 
-    /// Install a flight recorder: every operation's lifecycle events
-    /// (`Issued`, `ChunkAcked`, `Parked`, `Resumed`, `DeleteRetried`,
-    /// `Aborted`, `Completed`) are recorded into it under the node name
-    /// "controller".
-    pub fn set_recorder(&mut self, rec: Recorder) {
-        self.obs_tag = rec.register("controller");
-        self.obs = rec;
-    }
-
-    /// Install a recorder under an already-registered node tag. The
-    /// facade registers "controller" once and shares the tag across all
-    /// shards, so a sharded controller's events merge into one timeline
-    /// column instead of N duplicate nodes.
-    pub fn set_recorder_with_tag(&mut self, rec: Recorder, tag: NodeTag) {
+    /// Install a flight recorder under an already-registered node tag:
+    /// every operation's lifecycle events (`Issued`, `ChunkAcked`,
+    /// `Parked`, `Resumed`, `DeleteRetried`, `Aborted`, `Completed`)
+    /// are recorded into it. The facade registers "controller" once and
+    /// shares the tag across all shards, so a sharded controller's
+    /// events merge into one timeline column instead of N duplicate
+    /// nodes.
+    pub fn set_recorder(&mut self, rec: Recorder, tag: NodeTag) {
         self.obs_tag = tag;
         self.obs = rec;
     }

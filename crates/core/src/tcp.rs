@@ -8,22 +8,22 @@
 //!
 //! * [`serve_middlebox`] — serves any [`Middlebox`]'s southbound
 //!   protocol over a [`Transport`] (one thread per MB, like the paper).
-//! * [`TcpController`] — hosts a [`ShardedController`] (the sharded
-//!   core behind per-shard locks), pumps all MB transports, and
-//!   exposes *blocking* northbound calls
-//!   ([`TcpController::move_internal`], ...) that wait for the matching
-//!   completion.
+//! * [`TcpController`] — hosts the same [`ControllerCore`] the simulator
+//!   drives, behind one lock, pumps all MB transports, and exposes
+//!   *blocking* northbound calls ([`TcpController::move_internal`],
+//!   ...) that wait for the matching completion.
 //!
 //! The discrete-event simulator remains the measurement substrate; this
 //! embedding exists to demonstrate the protocol and controller logic are
 //! genuinely transport-independent (and is exercised by integration
 //! tests and the `tcp_protocol` example over loopback).
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
 
 use openmb_mb::{Middlebox, SharedPutLog};
@@ -31,10 +31,9 @@ use openmb_obs::{Recorder, SpanEvent};
 use openmb_simnet::SimTime;
 use openmb_types::transport::Transport;
 use openmb_types::wire::Message;
-use openmb_types::{Error, MbId, OpId, Result};
+use openmb_types::{ConfigValue, Error, HeaderFieldList, HierarchicalKey, MbId, OpId, Result};
 
-use crate::controller::{Action, Completion, ControllerConfig};
-use crate::parallel::ShardedController;
+use crate::controller::{Action, Completion, ControllerConfig, ControllerCore};
 
 /// Serve a middlebox's southbound protocol over `transport` until the
 /// peer disconnects or `stop` is raised. `now()` supplies timestamps for
@@ -136,18 +135,20 @@ pub struct TcpController {
 }
 
 struct Inner {
-    /// The sharded core behind per-shard locks: the pump thread and
-    /// blocking northbound callers contend only when they touch the
-    /// same shard.
-    core: ShardedController,
+    /// The controller state machine the simulator drives. The pump
+    /// thread and blocking northbound callers hold the lock for one
+    /// core call at a time, never across a send.
+    core: Mutex<ControllerCore>,
     transports: Mutex<Vec<Arc<dyn Transport + Sync>>>,
     /// Per-MB "connection lost" flags, parallel to `transports`. Set by
     /// the pump loop on a reset/EOF; cleared by
     /// [`TcpController::reattach_mb`] when a fresh transport replaces
     /// the dead one.
     dead: Mutex<Vec<bool>>,
-    completions_tx: Sender<Completion>,
-    completions_rx: Receiver<Completion>,
+    /// The completion channel of every blocking call still waiting,
+    /// keyed by its op. A waiter registers under the core lock, so it
+    /// exists before any completion of its op can be executed.
+    waiters: Mutex<HashMap<OpId, Sender<Completion>>>,
     stop: AtomicBool,
     start: Instant,
 }
@@ -157,14 +158,12 @@ impl TcpController {
     /// [`register_mb`](TcpController::register_mb) then
     /// [`start`](TcpController::start).
     pub fn new(config: ControllerConfig) -> Self {
-        let (tx, rx) = unbounded();
         TcpController {
             inner: Arc::new(Inner {
-                core: ShardedController::new(config),
+                core: Mutex::new(ControllerCore::new(config)),
                 transports: Mutex::new(Vec::new()),
                 dead: Mutex::new(Vec::new()),
-                completions_tx: tx,
-                completions_rx: rx,
+                waiters: Mutex::new(HashMap::new()),
                 stop: AtomicBool::new(false),
                 start: Instant::now(),
             }),
@@ -174,7 +173,7 @@ impl TcpController {
 
     /// Register a middlebox reachable over `transport`.
     pub fn register_mb(&self, transport: Arc<dyn Transport + Sync>) -> MbId {
-        let id = self.inner.core.register_mb();
+        let id = self.inner.core.lock().register_mb();
         self.inner.transports.lock().push(transport);
         self.inner.dead.lock().push(false);
         id
@@ -200,9 +199,9 @@ impl TcpController {
                 dead[idx] = false;
             }
         }
-        self.inner.core.record(self.now().0, None, None, SpanEvent::TransportReattached);
-        let actions = self.inner.core.mark_reachable(mb, self.now());
-        self.inner.execute(actions);
+        let now = self.inner.now();
+        self.inner.record(now, None, SpanEvent::TransportReattached);
+        self.inner.run(|core, out| core.mark_reachable(mb, now, out));
     }
 
     /// Install a flight recorder on the hosted core: op lifecycle
@@ -211,12 +210,12 @@ impl TcpController {
     /// controller's start instant, so they sort against the MB side's
     /// recorder when both share one recorder over loopback.
     pub fn set_recorder(&self, rec: Recorder) {
-        self.inner.core.set_recorder(rec);
+        self.inner.core.lock().set_recorder(rec);
     }
 
     /// The hosted core's flight recorder handle (disabled by default).
     pub fn recorder(&self) -> Recorder {
-        self.inner.core.recorder()
+        self.inner.core.lock().recorder().clone()
     }
 
     /// Start the pump thread (poll transports, drive the core).
@@ -225,13 +224,26 @@ impl TcpController {
         self.pump = Some(std::thread::spawn(move || inner.pump_loop()));
     }
 
-    fn now(&self) -> SimTime {
-        SimTime(self.inner.start.elapsed().as_nanos() as u64)
-    }
-
-    fn issue(&self, (op, actions): (OpId, Vec<Action>)) -> OpId {
-        self.inner.execute(actions);
-        op
+    /// Issue one northbound op and block until its completion arrives
+    /// or `timeout` passes.
+    fn call(
+        &self,
+        timeout: Duration,
+        issue: impl FnOnce(&mut ControllerCore, SimTime, &mut Vec<Action>) -> OpId,
+    ) -> Result<Completion> {
+        let (tx, rx) = unbounded();
+        let now = self.inner.now();
+        let mut out = Vec::new();
+        let op = {
+            let mut core = self.inner.core.lock();
+            let op = issue(&mut core, now, &mut out);
+            self.inner.waiters.lock().insert(op, tx);
+            op
+        };
+        self.inner.execute(out);
+        let got = rx.recv_timeout(timeout);
+        self.inner.waiters.lock().remove(&op);
+        got.map_err(|_| Error::OpFailed(format!("timeout waiting for {op}")))
     }
 
     /// Blocking `moveInternal`: returns once every put is ACKed.
@@ -239,30 +251,26 @@ impl TcpController {
         &self,
         src: MbId,
         dst: MbId,
-        key: openmb_types::HeaderFieldList,
+        key: HeaderFieldList,
         timeout: Duration,
     ) -> Result<Completion> {
-        let op = self.issue(self.inner.core.move_internal(src, dst, key, self.now()));
-        self.wait_for(op, timeout)
+        self.call(timeout, |core, now, out| core.move_internal(src, dst, key, now, out))
     }
 
     /// Blocking `cloneSupport`.
     pub fn clone_support(&self, src: MbId, dst: MbId, timeout: Duration) -> Result<Completion> {
-        let op = self.issue(self.inner.core.clone_support(src, dst, self.now()));
-        self.wait_for(op, timeout)
+        self.call(timeout, |core, now, out| core.clone_support(src, dst, now, out))
     }
 
     /// Blocking `mergeInternal`.
     pub fn merge_internal(&self, src: MbId, dst: MbId, timeout: Duration) -> Result<Completion> {
-        let op = self.issue(self.inner.core.merge_internal(src, dst, self.now()));
-        self.wait_for(op, timeout)
+        self.call(timeout, |core, now, out| core.merge_internal(src, dst, now, out))
     }
 
     /// Blocking `readConfig`.
     pub fn read_config(&self, src: MbId, key: &str, timeout: Duration) -> Result<Completion> {
-        let key = openmb_types::HierarchicalKey::parse(key);
-        let op = self.issue(self.inner.core.read_config(src, key, self.now()));
-        self.wait_for(op, timeout)
+        let key = HierarchicalKey::parse(key);
+        self.call(timeout, |core, now, out| core.read_config(src, key, now, out))
     }
 
     /// Blocking `writeConfig`.
@@ -270,39 +278,16 @@ impl TcpController {
         &self,
         dst: MbId,
         key: &str,
-        values: Vec<openmb_types::ConfigValue>,
+        values: Vec<ConfigValue>,
         timeout: Duration,
     ) -> Result<Completion> {
-        let key = openmb_types::HierarchicalKey::parse(key);
-        let op = self.issue(self.inner.core.write_config(dst, key, values, self.now()));
-        self.wait_for(op, timeout)
+        let key = HierarchicalKey::parse(key);
+        self.call(timeout, |core, now, out| core.write_config(dst, key, values, now, out))
     }
 
     /// Blocking `stats`.
-    pub fn stats(
-        &self,
-        src: MbId,
-        key: openmb_types::HeaderFieldList,
-        timeout: Duration,
-    ) -> Result<Completion> {
-        let op = self.issue(self.inner.core.stats(src, key, self.now()));
-        self.wait_for(op, timeout)
-    }
-
-    fn wait_for(&self, op: OpId, timeout: Duration) -> Result<Completion> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let remain = deadline
-                .checked_duration_since(Instant::now())
-                .ok_or_else(|| Error::OpFailed(format!("timeout waiting for {op}")))?;
-            match self.inner.completions_rx.recv_timeout(remain) {
-                Ok(c) if c.op() == Some(op) => return Ok(c),
-                Ok(_other) => continue, // completion for another op
-                Err(_) => {
-                    return Err(Error::OpFailed(format!("timeout waiting for {op}")));
-                }
-            }
-        }
+    pub fn stats(&self, src: MbId, key: HeaderFieldList, timeout: Duration) -> Result<Completion> {
+        self.call(timeout, |core, now, out| core.stats(src, key, now, out))
     }
 
     /// Stop the pump thread.
@@ -321,6 +306,25 @@ impl Drop for TcpController {
 }
 
 impl Inner {
+    fn now(&self) -> SimTime {
+        SimTime(self.start.elapsed().as_nanos() as u64)
+    }
+
+    /// Run one core call under the lock, then perform the actions it
+    /// emitted with the lock released.
+    fn run(&self, call: impl FnOnce(&mut ControllerCore, &mut Vec<Action>)) {
+        let mut out = Vec::new();
+        call(&mut self.core.lock(), &mut out);
+        self.execute(out);
+    }
+
+    /// Record a transport-level event under the core's "controller"
+    /// node tag.
+    fn record(&self, now: SimTime, sub: Option<u64>, ev: SpanEvent) {
+        let core = self.core.lock();
+        core.recorder().record(now.0, core.recorder_tag(), None, sub, ev);
+    }
+
     fn execute(&self, actions: Vec<Action>) {
         // Coalesce same-destination southbound messages emitted by one
         // core call into a single Batch frame (first-occurrence
@@ -340,9 +344,8 @@ impl Inner {
             let msg = if msgs.len() == 1 {
                 msgs.pop().expect("len 1")
             } else {
-                self.core.record(
-                    self.start.elapsed().as_nanos() as u64,
-                    None,
+                self.record(
+                    self.now(),
                     msgs[0].op_id().map(|o| o.0),
                     SpanEvent::BatchFlushed { count: msgs.len() as u32 },
                 );
@@ -353,8 +356,13 @@ impl Inner {
                 let _ = t.send(msg);
             }
         }
+        // A completion nobody waits for (its caller timed out, or an
+        // MB event) is dropped.
         for c in completions {
-            let _ = self.completions_tx.send(c);
+            let waiter = c.op().and_then(|op| self.waiters.lock().remove(&op));
+            if let Some(tx) = waiter {
+                let _ = tx.send(c);
+            }
         }
     }
 
@@ -380,13 +388,13 @@ impl Inner {
                     let ts = self.transports.lock();
                     Arc::clone(&ts[i])
                 };
+                let mb = MbId(i as u32);
                 loop {
                     match t.try_recv() {
                         Ok(Some(msg)) => {
                             idle = false;
-                            let now = SimTime(self.start.elapsed().as_nanos() as u64);
-                            let actions = self.core.handle_mb_message(MbId(i as u32), msg, now);
-                            self.execute(actions);
+                            let now = self.now();
+                            self.run(|core, out| core.handle_mb_message(mb, msg, now, out));
                         }
                         Ok(None) => break,
                         Err(_) => {
@@ -395,10 +403,9 @@ impl Inner {
                             // (or parks, given resume budget), exactly as
                             // the sim harness reports link failures.
                             self.dead.lock()[i] = true;
-                            let now = SimTime(self.start.elapsed().as_nanos() as u64);
-                            self.core.record(now.0, None, None, SpanEvent::TransportReset);
-                            let actions = self.core.mark_unreachable(MbId(i as u32), now);
-                            self.execute(actions);
+                            let now = self.now();
+                            self.record(now, None, SpanEvent::TransportReset);
+                            self.run(|core, out| core.mark_unreachable(mb, now, out));
                             break;
                         }
                     }
@@ -406,9 +413,8 @@ impl Inner {
             }
             if last_tick.elapsed() > Duration::from_millis(25) {
                 last_tick = Instant::now();
-                let now = SimTime(self.start.elapsed().as_nanos() as u64);
-                let actions = self.core.tick(now);
-                self.execute(actions);
+                let now = self.now();
+                self.run(|core, out| core.tick(now, out));
             }
             if idle {
                 std::thread::sleep(Duration::from_millis(1));

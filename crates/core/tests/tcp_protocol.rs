@@ -390,3 +390,202 @@ fn dropped_connection_aborts_with_mb_unreachable() {
 
     controller.shutdown();
 }
+
+/// Two-sided subnet pattern (`src ∈ 10.b.x/len ∧ dst ∈ 10.b.x/len`):
+/// flowspaces of this shape for different `b` are disjoint in both
+/// directions, so the router places them independently.
+fn within(b: u8, x: u8, len: u8) -> HeaderFieldList {
+    let p = openmb_types::IpPrefix::new(Ipv4Addr::new(10, b, x, 0), len);
+    HeaderFieldList { nw_src: p, nw_dst: p, ..HeaderFieldList::any() }
+}
+
+/// A flow inside `within(b, x, 24)`.
+fn subnet_pkt(id: u64, b: u8, x: u8, host: u8) -> Packet {
+    let key = FlowKey::tcp(
+        Ipv4Addr::new(10, b, x, host),
+        40_000 + u16::from(host),
+        Ipv4Addr::new(10, b, x, 250),
+        80,
+    );
+    Packet::new(id, key, vec![0u8; 64])
+}
+
+/// The TCP embedding at two shards: two client threads move disjoint
+/// `/16` subsets at the same time, each admitted onto its own shard,
+/// and each call gets its own completion back. A third move
+/// overlapping one of them, issued while that op is still live, is
+/// pinned to its shard and completes behind it.
+#[test]
+fn concurrent_moves_on_two_shards_over_loopback_tcp() {
+    use openmb_core::ShardRouter;
+    use openmb_types::{MbId, StateStats};
+
+    // Flows per subset, split evenly over its `.0` and `.1` /24s. The
+    // second subset is the larger and its caller usually blocks first,
+    // so the first subset's completion usually arrives while another
+    // caller is waiting; it must still reach its own caller. (The
+    // check holds in every interleaving; this one is the likely one.)
+    const FLOWS_A: u8 = 20;
+    const FLOWS_B: u8 = 200;
+
+    // Two /16 subsets whose hash placements differ at two shards, so
+    // the concurrent moves really run on different shards. MB ids are
+    // handed out in registration order: the source is 0, the
+    // destination 1.
+    let router = ShardRouter::new(2);
+    let (sa, sb) = (0u8..8)
+        .flat_map(|a| (0u8..8).map(move |b| (a, b)))
+        .find(|&(a, b)| {
+            router.hash_shard(&within(a, 0, 16), MbId(0), MbId(1))
+                != router.hash_shard(&within(b, 0, 16), MbId(0), MbId(1))
+        })
+        .expect("some pair of /16 subsets hashes onto different shards");
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let mut mb_ends = Vec::new();
+    let mut handles = Vec::new();
+    for i in 0..2u8 {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        mb_ends.push(listener.local_addr().unwrap());
+        let stop = Arc::clone(&stop);
+        handles.push(std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let transport = TcpTransport::new(stream).unwrap();
+            let mut monitor = Monitor::new();
+            if i == 0 {
+                let mut fx = Effects::normal();
+                let mut id = 0;
+                for (b, flows) in [(sa, FLOWS_A), (sb, FLOWS_B)] {
+                    for f in 1..=flows {
+                        id += 1;
+                        let pkt = subnet_pkt(id, b, f % 2, f);
+                        monitor.process_packet(SimTime(id), &pkt, &mut fx);
+                    }
+                }
+            }
+            serve_middlebox(&mut monitor, &transport, &stop).unwrap();
+        }));
+    }
+
+    let mut controller = TcpController::new(ControllerConfig {
+        shards: 2,
+        // Long enough that the first move's source deletes are still
+        // owed when the overlapping move is admitted: its op stays live
+        // in the router's conflict table.
+        quiesce_after: SimDuration::from_secs(5),
+        compress_transfers: false,
+        buffer_events: true,
+        ..ControllerConfig::default()
+    });
+    let src = controller.register_mb(Arc::new(TcpTransport::connect(mb_ends[0]).unwrap()));
+    let dst = controller.register_mb(Arc::new(TcpTransport::connect(mb_ends[1]).unwrap()));
+    assert_eq!((src, dst), (MbId(0), MbId(1)));
+    controller.start();
+
+    let t = Duration::from_secs(10);
+    let stats_of = |mb, key| match controller.stats(mb, key, t).unwrap() {
+        Completion::Stats { stats, .. } => stats,
+        other => panic!("unexpected {other:?}"),
+    };
+    let before: Vec<StateStats> =
+        [sa, sb].iter().map(|&b| stats_of(src, within(b, 0, 16))).collect();
+    assert_eq!(before[0].perflow_report_chunks, usize::from(FLOWS_A));
+    assert_eq!(before[1].perflow_report_chunks, usize::from(FLOWS_B));
+
+    let moved = |c: Completion| match c {
+        Completion::MoveComplete { op, chunks_moved, .. } => (op, chunks_moved),
+        other => panic!("move failed: {other:?}"),
+    };
+    let ctrl = &controller;
+    let barrier = std::sync::Barrier::new(2);
+    let ((op_a, op_c), op_b) = std::thread::scope(|s| {
+        let first = s.spawn(|| {
+            barrier.wait();
+            // Let the larger move's caller block first.
+            std::thread::sleep(Duration::from_millis(3));
+            let (op_a, n) = moved(ctrl.move_internal(src, dst, within(sa, 0, 16), t).unwrap());
+            assert_eq!(n, usize::from(FLOWS_A));
+            // Overlaps the first move's flowspace on the same MB pair
+            // while that op still owes its source deletes.
+            let (op_c, n) = moved(ctrl.move_internal(src, dst, within(sa, 1, 24), t).unwrap());
+            assert_eq!(n, usize::from(FLOWS_A / 2));
+            (op_a, op_c)
+        });
+        let second = s.spawn(|| {
+            barrier.wait();
+            let (op_b, n) = moved(ctrl.move_internal(src, dst, within(sb, 0, 16), t).unwrap());
+            assert_eq!(n, usize::from(FLOWS_B));
+            op_b
+        });
+        (first.join().unwrap(), second.join().unwrap())
+    });
+
+    // Op ids carry their shard as a residue class: `(id - 1) % 2`.
+    let shard = |op: openmb_types::OpId| (op.0 - 1) % 2;
+    assert_ne!(shard(op_a), shard(op_b), "disjoint moves must run on different shards");
+    assert_eq!(shard(op_c), shard(op_a), "the overlapping move must join the live op's shard");
+
+    // The destination holds exactly what the source held before.
+    for (b, want) in [sa, sb].into_iter().zip(&before) {
+        let got = stats_of(dst, within(b, 0, 16));
+        assert_eq!(got.perflow_report_chunks, want.perflow_report_chunks);
+        assert_eq!(got.perflow_report_bytes, want.perflow_report_bytes);
+    }
+
+    controller.shutdown();
+    stop.store(true, std::sync::atomic::Ordering::Relaxed);
+    for h in handles {
+        h.join().unwrap();
+    }
+}
+
+/// The embedding records transport resets and reattaches into the
+/// core's recorder, under the controller's own node.
+#[test]
+fn transport_reset_and_reattach_are_recorded_under_controller() {
+    use openmb_obs::{Recorder, SpanEvent};
+    use openmb_types::transport::channel_pair;
+    use openmb_types::Error;
+
+    let rec = Recorder::enabled(256);
+    let mut controller = TcpController::new(ControllerConfig::default());
+    controller.set_recorder(rec.clone());
+    let (ctl_end, mb_end) = channel_pair();
+    let mb = controller.register_mb(Arc::new(ctl_end));
+    controller.start();
+
+    // The call fails only once the pump has seen the reset.
+    drop(mb_end);
+    let c = controller.stats(mb, HeaderFieldList::any(), Duration::from_secs(5)).unwrap();
+    assert!(matches!(c, Completion::Failed { error: Error::MbUnreachable(_), .. }), "{c:?}");
+
+    // Reconnect with a served monitor: calls succeed again.
+    let stop = Arc::new(AtomicBool::new(false));
+    let (ctl2, mb2) = channel_pair();
+    let served = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || serve_middlebox(&mut Monitor::new(), &mb2, &stop).unwrap())
+    };
+    controller.reattach_mb(mb, Arc::new(ctl2));
+    let c = controller.stats(mb, HeaderFieldList::any(), Duration::from_secs(5)).unwrap();
+    assert!(matches!(c, Completion::Stats { .. }), "{c:?}");
+
+    controller.shutdown();
+    stop.store(true, std::sync::atomic::Ordering::Relaxed);
+    served.join().unwrap();
+
+    let dump = rec.dump();
+    let at = |want: fn(&SpanEvent) -> bool| {
+        dump.events
+            .iter()
+            .find(|e| want(&e.event))
+            .map(|e| {
+                assert_eq!(e.node, "controller", "transport events belong to the controller");
+                e.t_ns
+            })
+            .unwrap_or_else(|| panic!("event missing:\n{dump}"))
+    };
+    let reset = at(|e| matches!(e, SpanEvent::TransportReset));
+    let reattached = at(|e| matches!(e, SpanEvent::TransportReattached));
+    assert!(reset <= reattached, "reset recorded after the reattach:\n{dump}");
+}

@@ -85,13 +85,19 @@ impl ConnState {
     }
 }
 
+/// Most bytes of an unterminated request line the HTTP analyzer buffers
+/// per flow. Past it the line is dropped, so a flow that never ends a
+/// line cannot grow its state or its per-packet scan cost.
+const HTTP_LINE_CAP: usize = 4096;
+
 /// The nested HTTP analyzer hanging off a connection (one branch of
 /// Bro's per-connection object tree).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct HttpAnalyzer {
     /// Completed request lines ("GET /index.html").
     pub requests: Vec<String>,
-    /// Bytes of a request line split across packets.
+    /// Bytes of a request line split across packets (at most
+    /// `HTTP_LINE_CAP`).
     pub partial: Vec<u8>,
     /// Response count (any resp-direction payload after a request).
     pub responses: u64,
@@ -484,11 +490,19 @@ impl Ips {
         if pkt.key.dst_port == 80 || pkt.key.src_port == 80 {
             let http = rec.http.get_or_insert_with(HttpAnalyzer::default);
             if is_orig && !pkt.payload.is_empty() {
+                // Bytes already buffered were scanned on earlier packets
+                // and hold no terminator, so only a terminator that
+                // straddles their end can start before the new bytes.
+                let old = http.partial.len();
                 http.partial.extend_from_slice(&pkt.payload);
                 // A request line is complete at the first CRLF or at a
                 // recognizable "HTTP/1." suffix within the buffer.
-                if let Some(pos) = find_subsequence(&http.partial, b"\r\n")
-                    .or_else(|| find_subsequence(&http.partial, b"HTTP/1.1").map(|p| p + 8))
+                let find_from = |needle: &[u8]| {
+                    let from = old.saturating_sub(needle.len() - 1);
+                    find_subsequence(&http.partial[from..], needle).map(|p| from + p)
+                };
+                if let Some(pos) =
+                    find_from(b"\r\n").or_else(|| find_from(b"HTTP/1.1").map(|p| p + 8))
                 {
                     let line: Vec<u8> = http.partial.drain(..pos).collect();
                     http.partial.clear();
@@ -500,6 +514,11 @@ impl Ips {
                         }
                         fx.log("http.log", format!("{} {} {}", now.0, pkt.key, text));
                     }
+                } else if http.partial.len() > HTTP_LINE_CAP {
+                    // An overlong line is dropped, keeping only a
+                    // terminator that may be split across packets.
+                    let keep = terminator_head_len(&http.partial);
+                    http.partial.drain(..http.partial.len() - keep);
                 }
             } else if !is_orig && !pkt.payload.is_empty() {
                 http.responses += 1;
@@ -759,6 +778,13 @@ impl Middlebox for Ips {
     fn perflow_entries(&self) -> usize {
         self.conns.len()
     }
+}
+
+/// Length of the longest tail of `buf` that later bytes could complete
+/// into a line terminator (`\r\n` or `HTTP/1.1`).
+fn terminator_head_len(buf: &[u8]) -> usize {
+    let http = (1..8).rev().find(|&n| buf.ends_with(&b"HTTP/1.1"[..n])).unwrap_or(0);
+    http.max(usize::from(buf.ends_with(b"\r")))
 }
 
 /// Find the first occurrence of `needle` in `haystack`.
@@ -1026,5 +1052,68 @@ mod tests {
         assert_eq!(ips.perflow_entries(), 1);
         let chunks = ips.get_support_perflow(OpId(1), &HeaderFieldList::from_dst_port(53)).unwrap();
         assert_eq!(chunks.len(), 1);
+    }
+
+    /// Feed `chunks` as consecutive originator payloads of one port-80
+    /// flow; returns the `http.log` lines.
+    fn feed_http(ips: &mut Ips, sp: u16, chunks: &[&[u8]]) -> Vec<String> {
+        let key = conn_key(sp);
+        let mut fx = Effects::normal();
+        for (i, c) in chunks.iter().enumerate() {
+            let pkt = Packet::tcp(i as u64, key, tcp_flags::ACK, Bytes::from(c.to_vec()));
+            ips.process_packet(SimTime(i as u64), &pkt, &mut fx);
+        }
+        fx.take_logs().into_iter().filter(|l| l.log == "http.log").map(|l| l.line).collect()
+    }
+
+    #[test]
+    fn request_split_over_packets_logs_once() {
+        let mut ips = Ips::new();
+        let logs =
+            feed_http(&mut ips, 7100, &[b"GET /ind", b"ex.html HTTP/1", b".1\r", b"\nHost: a"]);
+        assert_eq!(logs.len(), 1, "{logs:?}");
+        assert!(logs[0].ends_with(" GET /index.html HTTP/1.1"), "{logs:?}");
+        // CRLF split across packets, no HTTP version on the line.
+        let logs = feed_http(&mut ips, 7101, &[b"POST /form", b"\r", b"\n"]);
+        assert_eq!(logs.len(), 1, "{logs:?}");
+        assert!(logs[0].ends_with(" POST /form"), "{logs:?}");
+    }
+
+    #[test]
+    fn unterminated_http_line_stays_bounded() {
+        let mut ips = Ips::new();
+        let key = conn_key(7200);
+        let payload = Bytes::from(vec![b'a'; 64]);
+        let mut fx = Effects::normal();
+        let partial_len = |ips: &Ips| {
+            let rec = ips.conns_sorted().pop().expect("one connection");
+            rec.http.expect("port-80 payload attaches the analyzer").partial.len()
+        };
+        for i in 0..10_000u64 {
+            let pkt = Packet::tcp(i, key, tcp_flags::ACK, payload.clone());
+            ips.process_packet(SimTime(i), &pkt, &mut fx);
+            if i % 100 == 0 {
+                assert!(partial_len(&ips) <= HTTP_LINE_CAP, "packet {i}");
+            }
+        }
+        assert!(partial_len(&ips) <= HTTP_LINE_CAP);
+        let bytes = ips.stats(&HeaderFieldList::any()).perflow_support_bytes;
+        assert!(bytes < HTTP_LINE_CAP + 512, "per-flow state grew to {bytes} B");
+        assert!(fx.take_logs().iter().all(|l| l.log != "http.log"));
+    }
+
+    #[test]
+    fn terminator_split_at_the_cap_is_still_found() {
+        // Fill to just past the cap, ending in a terminator's head: the
+        // overlong line is dropped, the split terminator survives and
+        // ends it, and the next request logs normally. (Were the head
+        // dropped too, its tail would prefix the next request line.)
+        let filler = vec![b'x'; HTTP_LINE_CAP];
+        for (sp, head, tail) in [(7300, &b"HTTP/1"[..], &b".1"[..]), (7301, b"\r", b"\n")] {
+            let mut ips = Ips::new();
+            let logs = feed_http(&mut ips, sp, &[&filler, head, tail, b"GET /next HTTP/1.1\r\n"]);
+            assert_eq!(logs.len(), 1, "{logs:?}");
+            assert!(logs[0].ends_with(" GET /next HTTP/1.1"), "{logs:?}");
+        }
     }
 }

@@ -1,12 +1,13 @@
 //! Property-based tests on core data structures and invariants,
 //! spanning crates.
 
+use bytes::Bytes;
 use openmb::types::compress;
 use openmb::types::crypto::{self, VendorKey};
-use openmb::types::wire::{self, EventFilter, Message};
+use openmb::types::wire::{self, ChunkClass, Event, EventFilter, Message};
 use openmb::types::{
-    EncryptedChunk, FlowKey, HeaderFieldList, HierarchicalKey, IpPrefix, OpId, Packet, Proto,
-    StateChunk,
+    ConfigValue, EncryptedChunk, Error, FlowKey, HeaderFieldList, HierarchicalKey, IpPrefix, MbId,
+    OpId, Packet, Proto, StateChunk, StateStats,
 };
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
@@ -46,6 +47,94 @@ fn arb_hfl() -> impl Strategy<Value = HeaderFieldList> {
         })
 }
 
+/// One valid message for every wire tag: a nested `Batch` carrying
+/// several tags, and each content-addressed transfer message.
+fn one_message_per_tag() -> Vec<Message> {
+    let op = OpId(7);
+    let key = FlowKey::tcp(Ipv4Addr::new(10, 0, 0, 1), 4000, Ipv4Addr::new(10, 0, 1, 1), 80);
+    let hfl = HeaderFieldList::exact(key);
+    let hkey = HierarchicalKey::parse("rules/0/action");
+    let vendor = VendorKey::derive("fuzz");
+    let sealed = EncryptedChunk::seal(&vendor, 7, b"per-flow state");
+    let chunk = StateChunk::new(hfl, sealed.clone());
+    let packet = Packet::tcp(3, key, 0x18, vec![1u8, 2, 3, 4]);
+    let hash = [0xab; 32];
+    let values =
+        vec![ConfigValue::Str("allow".into()), ConfigValue::Int(-3), ConfigValue::Bool(true)];
+    let filter = EventFilter { codes: Some(vec![1, 2]), key: Some(hfl) };
+    let mut msgs = vec![
+        Message::GetConfig { op, key: hkey.clone() },
+        Message::SetConfig { op, key: hkey.clone(), values: values.clone() },
+        Message::DelConfig { op, key: hkey.clone() },
+        Message::GetSupportPerflow { op, key: hfl },
+        Message::PutSupportPerflow { op, chunk: chunk.clone() },
+        Message::DelSupportPerflow { op, key: hfl },
+        Message::GetReportPerflow { op, key: hfl },
+        Message::PutReportPerflow { op, chunk: chunk.clone() },
+        Message::DelReportPerflow { op, key: hfl },
+        Message::GetSupportShared { op },
+        Message::PutSupportShared { op, chunk: sealed.clone() },
+        Message::GetReportShared { op },
+        Message::PutReportShared { op, chunk: sealed.clone() },
+        Message::GetStats { op, key: hfl },
+        Message::EnableEvents { op, filter },
+        Message::DisableEvents { op },
+        Message::ReprocessPacket { op, key, packet: packet.clone() },
+        Message::Chunk { op, chunk: chunk.clone() },
+        Message::GetAck { op, count: 2 },
+        Message::SharedChunk { op, chunk: sealed.clone() },
+        Message::PutAck { op, key: Some(hfl) },
+        Message::OpAck { op },
+        Message::ConfigValues { op, pairs: vec![(hkey, values)] },
+        Message::Stats {
+            op,
+            stats: StateStats { perflow_report_chunks: 3, ..StateStats::default() },
+        },
+        Message::EventMsg { event: Event::Reprocess { op, key, packet } },
+        Message::EventMsg {
+            event: Event::Introspection { code: 9, key, values: vec![("k".into(), "v".into())] },
+        },
+        Message::ErrorMsg { op, error: Error::MbUnreachable(MbId(2)) },
+        Message::EndSync { op },
+        Message::DeleteState { op, puts: vec![OpId(8), OpId(9)] },
+        Message::DeleteAck { op, restored: 1 },
+        Message::ChunkRef { op, class: ChunkClass::Support, key: hfl, hash },
+        Message::ChunkNeed { op, hash },
+        Message::ChunkBody { op, class: ChunkClass::Report, key: hfl, hash, data: sealed },
+    ];
+    let batch = Message::Batch { msgs: msgs[msgs.len() - 6..].to_vec() };
+    msgs.push(batch);
+    msgs
+}
+
+/// Run `body` through every decoder entry point the TCP pump can reach:
+/// `decode`, `decode_bytes`, and `read_frame` behind a true and a
+/// forged length prefix. Any of them may fail; none may panic.
+fn decode_everywhere(body: &[u8], forged_len: u32) {
+    let _ = wire::decode(body);
+    let _ = wire::decode_bytes(&Bytes::from(body.to_vec()));
+    for len in [body.len() as u32, forged_len] {
+        let mut frame = len.to_le_bytes().to_vec();
+        frame.extend_from_slice(body);
+        let _ = wire::read_frame(&mut frame.as_slice());
+    }
+}
+
+/// Every prefix of every tag's valid encoding decodes without panic.
+#[test]
+fn wire_decode_never_panics_on_truncation() {
+    let mut tags = std::collections::BTreeSet::new();
+    for msg in one_message_per_tag() {
+        let enc = wire::encode(&msg);
+        assert_eq!(wire::decode(&enc).unwrap(), msg);
+        tags.insert(enc[0]);
+        for n in 0..enc.len() {
+            decode_everywhere(&enc[..n], n as u32 + 1);
+        }
+    }
+    assert_eq!(tags, (1..=34).collect(), "the corpus must cover every wire tag");
+}
+
 proptest! {
     /// The wire codec roundtrips every message we can build.
     #[test]
@@ -65,10 +154,27 @@ proptest! {
         }
     }
 
-    /// Decoding arbitrary bytes never panics (it may error).
+    /// Decoding arbitrary bytes never panics (it may error): uniform
+    /// random bytes, and every tag's valid encoding with random bytes
+    /// flipped, cut at a random offset, behind a forged length prefix.
     #[test]
-    fn wire_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = wire::decode(&bytes);
+    fn wire_decode_never_panics(
+        bytes in proptest::collection::vec(any::<u8>(), 0..256),
+        flips in proptest::collection::vec((any::<usize>(), 1u8..=255), 1..6),
+        cut in any::<usize>(),
+        forged_len in 0u32..4096,
+    ) {
+        decode_everywhere(&bytes, forged_len);
+        for msg in one_message_per_tag() {
+            let mut enc = wire::encode(&msg);
+            for &(at, mask) in &flips {
+                let i = at % enc.len();
+                enc[i] ^= mask;
+            }
+            decode_everywhere(&enc, forged_len);
+            enc.truncate(cut % (enc.len() + 1));
+            decode_everywhere(&enc, forged_len);
+        }
     }
 
     /// Compression roundtrips arbitrary data.
