@@ -37,8 +37,9 @@
 //! embedding must stay deterministic), and it is the only controller
 //! state machine. Both embeddings drive it: the simulator's
 //! `ControllerNode` owns one directly, and [`crate::tcp::TcpController`]
-//! puts one behind a single lock that its pump thread and blocking
-//! northbound callers take for one core call at a time.
+//! puts one behind a single lock that its receive threads (one per
+//! connected MB, as in the paper's §7 prototype), its tick thread and
+//! blocking northbound callers take for one core call at a time.
 
 use openmb_obs::{HealthSnapshot, LedgerHealth, NodeTag, Recorder, ShardHealth, SpanEvent};
 use openmb_simnet::SimTime;

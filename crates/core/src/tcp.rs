@@ -9,9 +9,9 @@
 //! * [`serve_middlebox`] — serves any [`Middlebox`]'s southbound
 //!   protocol over a [`Transport`] (one thread per MB, like the paper).
 //! * [`TcpController`] — hosts the same [`ControllerCore`] the simulator
-//!   drives, behind one lock, pumps all MB transports, and exposes
-//!   *blocking* northbound calls ([`TcpController::move_internal`],
-//!   ...) that wait for the matching completion.
+//!   drives, behind one lock, with a receive thread per MB plus a tick
+//!   thread, and exposes *blocking* northbound calls
+//!   ([`TcpController::move_internal`], ...) that wait for completion.
 //!
 //! The discrete-event simulator remains the measurement substrate; this
 //! embedding exists to demonstrate the protocol and controller logic are
@@ -21,6 +21,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Sender};
@@ -58,25 +59,10 @@ pub fn serve_middlebox_logged<M: Middlebox>(
     stop: &AtomicBool,
 ) -> Result<()> {
     let start = Instant::now();
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            return Ok(());
-        }
-        let msg = match transport.recv_timeout(Duration::from_millis(20)) {
-            Ok(Some(m)) => m,
-            Ok(None) => continue,
-            Err(_) => return Ok(()), // peer closed
-        };
+    serve_loop(transport, stop, |msg| {
         let now = SimTime(start.elapsed().as_nanos() as u64);
-        let mut replies = handle_southbound_logged(mb, log, msg, now);
-        // A request with several replies (a get streaming chunks, a
-        // batched request) answers with one coalesced frame.
-        match replies.len() {
-            0 => {}
-            1 => transport.send(replies.pop().expect("len 1"))?,
-            _ => transport.send(Message::Batch { msgs: replies })?,
-        }
-    }
+        handle_southbound_logged(mb, log, msg, now)
+    })
 }
 
 /// [`serve_middlebox_logged`] that also records every request it
@@ -94,32 +80,40 @@ pub fn serve_middlebox_recorded<M: Middlebox>(
     name: &str,
 ) -> Result<()> {
     let tag = rec.register(name);
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            return Ok(());
+    serve_loop(transport, stop, |msg| {
+        let now = SimTime(rec.now_ns());
+        let replies = handle_southbound_recorded(mb, log, msg, now, rec, tag);
+        if replies.len() > 1 {
+            let count = replies.len() as u32;
+            let op = replies[0].op_id().map(|o| o.0);
+            rec.record(now.0, tag, None, op, SpanEvent::BatchFlushed { count });
         }
-        let msg = match transport.recv_timeout(Duration::from_millis(20)) {
+        replies
+    })
+}
+
+/// The loop behind every `serve_middlebox*` variant: answer each request
+/// with `handle`'s replies, several of them (a get streaming chunks, a
+/// batched request) coalesced into one frame.
+fn serve_loop(
+    transport: &dyn Transport,
+    stop: &AtomicBool,
+    mut handle: impl FnMut(Message) -> Vec<Message>,
+) -> Result<()> {
+    while !stop.load(Ordering::Relaxed) {
+        let msg = match transport.recv_timeout(RECV_WAIT) {
             Ok(Some(m)) => m,
             Ok(None) => continue,
             Err(_) => return Ok(()), // peer closed
         };
-        let now = SimTime(rec.now_ns());
-        let mut replies = handle_southbound_recorded(mb, log, msg, now, rec, tag);
+        let mut replies = handle(msg);
         match replies.len() {
             0 => {}
             1 => transport.send(replies.pop().expect("len 1"))?,
-            n => {
-                rec.record(
-                    now.0,
-                    tag,
-                    None,
-                    replies[0].op_id().map(|o| o.0),
-                    SpanEvent::BatchFlushed { count: n as u32 },
-                );
-                transport.send(Message::Batch { msgs: replies })?;
-            }
+            _ => transport.send(Message::Batch { msgs: replies })?,
         }
     }
+    Ok(())
 }
 
 /// Southbound dispatch, re-exported from [`openmb_mb::southbound`]
@@ -128,23 +122,37 @@ pub use openmb_mb::southbound::{
     handle_southbound, handle_southbound_logged, handle_southbound_recorded,
 };
 
+/// Record a transport-level event under the core's "controller" node tag.
+fn record(core: &ControllerCore, now: SimTime, sub: Option<u64>, ev: SpanEvent) {
+    core.recorder().record(now.0, core.recorder_tag(), None, sub, ev);
+}
+
+/// How long a blocked receive waits before it re-checks for shutdown.
+const RECV_WAIT: Duration = Duration::from_millis(20);
+/// The cadence of the core's timers (quiescence, deadlines, resumes).
+const TICK: Duration = Duration::from_millis(25);
+
+type Link = Arc<dyn Transport + Sync>;
+type Threads = Option<Vec<JoinHandle<()>>>;
+
 /// A controller serving the northbound API over per-MB transports.
 pub struct TcpController {
     inner: Arc<Inner>,
-    pump: Option<std::thread::JoinHandle<()>>,
+    /// The tick thread and every receive thread, `None` until
+    /// [`start`](TcpController::start). Held while a transport is added
+    /// or swapped, so each transport gets exactly one receiver.
+    threads: Mutex<Threads>,
 }
 
 struct Inner {
-    /// The controller state machine the simulator drives. The pump
-    /// thread and blocking northbound callers hold the lock for one
-    /// core call at a time, never across a send.
+    /// The controller state machine the simulator drives. Receive
+    /// threads, the tick thread and blocking northbound callers hold
+    /// the lock for one core call at a time, never across a send.
     core: Mutex<ControllerCore>,
-    transports: Mutex<Vec<Arc<dyn Transport + Sync>>>,
-    /// Per-MB "connection lost" flags, parallel to `transports`. Set by
-    /// the pump loop on a reset/EOF; cleared by
-    /// [`TcpController::reattach_mb`] when a fresh transport replaces
-    /// the dead one.
-    dead: Mutex<Vec<bool>>,
+    transports: Mutex<Vec<Link>>,
+    /// Held from before the core lock is released until a core call's
+    /// frames are sent, so frames leave in the core's order.
+    send_order: Mutex<()>,
     /// The completion channel of every blocking call still waiting,
     /// keyed by its op. A waiter registers under the core lock, so it
     /// exists before any completion of its op can be executed.
@@ -162,20 +170,22 @@ impl TcpController {
             inner: Arc::new(Inner {
                 core: Mutex::new(ControllerCore::new(config)),
                 transports: Mutex::new(Vec::new()),
-                dead: Mutex::new(Vec::new()),
+                send_order: Mutex::new(()),
                 waiters: Mutex::new(HashMap::new()),
                 stop: AtomicBool::new(false),
                 start: Instant::now(),
             }),
-            pump: None,
+            threads: Mutex::new(None),
         }
     }
 
-    /// Register a middlebox reachable over `transport`.
-    pub fn register_mb(&self, transport: Arc<dyn Transport + Sync>) -> MbId {
+    /// Register a middlebox reachable over `transport`. After
+    /// [`start`](TcpController::start) it is served at once.
+    pub fn register_mb(&self, transport: Link) -> MbId {
+        let mut threads = self.threads.lock();
         let id = self.inner.core.lock().register_mb();
-        self.inner.transports.lock().push(transport);
-        self.inner.dead.lock().push(false);
+        self.inner.transports.lock().push(Arc::clone(&transport));
+        self.inner.receive(&mut threads, id, transport);
         id
     }
 
@@ -184,24 +194,20 @@ impl TcpController {
     /// it was down, and resume transfers parked on its account (with
     /// `max_transfer_resumes` > 0, a move interrupted mid-transfer picks
     /// up from its last acked chunk instead of starting over).
-    pub fn reattach_mb(&self, mb: MbId, transport: Arc<dyn Transport + Sync>) {
-        let idx = mb.0 as usize;
-        {
-            let mut transports = self.inner.transports.lock();
-            if idx >= transports.len() {
-                return;
-            }
-            transports[idx] = transport;
-        }
-        {
-            let mut dead = self.inner.dead.lock();
-            if idx < dead.len() {
-                dead[idx] = false;
-            }
+    pub fn reattach_mb(&self, mb: MbId, transport: Link) {
+        let mut threads = self.threads.lock();
+        match self.inner.transports.lock().get_mut(mb.0 as usize) {
+            Some(slot) => *slot = Arc::clone(&transport),
+            None => return,
         }
         let now = self.inner.now();
-        self.inner.record(now, None, SpanEvent::TransportReattached);
-        self.inner.run(|core, out| core.mark_reachable(mb, now, out));
+        self.inner.run(|core, out| {
+            record(core, now, None, SpanEvent::TransportReattached);
+            core.mark_reachable(mb, now, out)
+        });
+        // Spawned only now, so a reset of the fresh transport is
+        // reported after the MB was marked reachable, not before.
+        self.inner.receive(&mut threads, mb, transport);
     }
 
     /// Install a flight recorder on the hosted core: op lifecycle
@@ -218,10 +224,17 @@ impl TcpController {
         self.inner.core.lock().recorder().clone()
     }
 
-    /// Start the pump thread (poll transports, drive the core).
+    /// Start the tick thread and a receive thread for every MB
+    /// registered so far.
     pub fn start(&mut self) {
-        let inner = Arc::clone(&self.inner);
-        self.pump = Some(std::thread::spawn(move || inner.pump_loop()));
+        let mut threads = self.threads.lock();
+        if threads.is_none() {
+            let inner = Arc::clone(&self.inner);
+            *threads = Some(vec![std::thread::spawn(move || inner.tick_loop())]);
+            for (i, t) in self.inner.transports.lock().iter().enumerate() {
+                self.inner.receive(&mut threads, MbId(i as u32), Arc::clone(t));
+            }
+        }
     }
 
     /// Issue one northbound op and block until its completion arrives
@@ -233,14 +246,11 @@ impl TcpController {
     ) -> Result<Completion> {
         let (tx, rx) = unbounded();
         let now = self.inner.now();
-        let mut out = Vec::new();
-        let op = {
-            let mut core = self.inner.core.lock();
-            let op = issue(&mut core, now, &mut out);
+        let op = self.inner.run(|core, out| {
+            let op = issue(core, now, out);
             self.inner.waiters.lock().insert(op, tx);
             op
-        };
-        self.inner.execute(out);
+        });
         let got = rx.recv_timeout(timeout);
         self.inner.waiters.lock().remove(&op);
         got.map_err(|_| Error::OpFailed(format!("timeout waiting for {op}")))
@@ -290,10 +300,10 @@ impl TcpController {
         self.call(timeout, |core, now, out| core.stats(src, key, now, out))
     }
 
-    /// Stop the pump thread.
+    /// Stop and join every controller thread.
     pub fn shutdown(&mut self) {
         self.inner.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.pump.take() {
+        for h in self.threads.lock().take().into_iter().flatten() {
             let _ = h.join();
         }
     }
@@ -311,21 +321,13 @@ impl Inner {
     }
 
     /// Run one core call under the lock, then perform the actions it
-    /// emitted with the lock released.
-    fn run(&self, call: impl FnOnce(&mut ControllerCore, &mut Vec<Action>)) {
-        let mut out = Vec::new();
-        call(&mut self.core.lock(), &mut out);
-        self.execute(out);
-    }
-
-    /// Record a transport-level event under the core's "controller"
-    /// node tag.
-    fn record(&self, now: SimTime, sub: Option<u64>, ev: SpanEvent) {
-        let core = self.core.lock();
-        core.recorder().record(now.0, core.recorder_tag(), None, sub, ev);
-    }
-
-    fn execute(&self, actions: Vec<Action>) {
+    /// emitted with the lock released. The send lock is taken first, so
+    /// frames leave in the core's order even when several threads make
+    /// core calls (an abort's delete cannot overtake an earlier put).
+    fn run<R>(&self, call: impl FnOnce(&mut ControllerCore, &mut Vec<Action>) -> R) -> R {
+        let mut actions = Vec::new();
+        let mut core = self.core.lock();
+        let r = call(&mut core, &mut actions);
         // Coalesce same-destination southbound messages emitted by one
         // core call into a single Batch frame (first-occurrence
         // destination order, per-destination message order preserved).
@@ -340,19 +342,19 @@ impl Inner {
                 Action::Notify(c) => completions.push(c),
             }
         }
+        for (_, msgs) in sends.iter().filter(|(_, msgs)| msgs.len() > 1) {
+            let (sub, count) = (msgs[0].op_id().map(|o| o.0), msgs.len() as u32);
+            record(&core, self.now(), sub, SpanEvent::BatchFlushed { count });
+        }
+        let _in_order = self.send_order.lock();
+        drop(core);
         for (mb, mut msgs) in sends {
-            let msg = if msgs.len() == 1 {
-                msgs.pop().expect("len 1")
-            } else {
-                self.record(
-                    self.now(),
-                    msgs[0].op_id().map(|o| o.0),
-                    SpanEvent::BatchFlushed { count: msgs.len() as u32 },
-                );
-                Message::Batch { msgs }
+            let msg = match msgs.len() {
+                1 => msgs.pop().expect("len 1"),
+                _ => Message::Batch { msgs },
             };
-            let transports = self.transports.lock();
-            if let Some(t) = transports.get(mb.0 as usize) {
+            let t = self.transports.lock().get(mb.0 as usize).cloned();
+            if let Some(t) = t {
                 let _ = t.send(msg);
             }
         }
@@ -364,61 +366,57 @@ impl Inner {
                 let _ = tx.send(c);
             }
         }
+        r
     }
 
-    fn pump_loop(&self) {
-        let mut last_tick = Instant::now();
-        // Transports whose peer has reset or closed are marked
-        // unreachable once and then skipped until `reattach_mb` swaps in
-        // a fresh transport and clears the flag.
+    /// While the controller runs, give `transport` a receive thread
+    /// for `mb`, forgetting the handles of receivers that have exited.
+    fn receive(self: &Arc<Self>, threads: &mut Threads, mb: MbId, transport: Link) {
+        if let Some(threads) = threads {
+            threads.retain(|h| !h.is_finished());
+            let inner = Arc::clone(self);
+            threads.push(std::thread::spawn(move || inner.receive_loop(mb, &transport)));
+        }
+    }
+
+    /// Whether `transport` is still the one registered for `mb`.
+    fn serves(&self, mb: MbId, transport: &Link) -> bool {
+        self.transports.lock().get(mb.0 as usize).is_some_and(|t| Arc::ptr_eq(t, transport))
+    }
+
+    /// One MB's receive thread: block until a frame lands and hand it
+    /// to the core, so frames from one MB are handled in arrival order.
+    /// Runs until shutdown, a reset/EOF, or `reattach_mb` swapping in
+    /// another transport.
+    fn receive_loop(&self, mb: MbId, transport: &Link) {
+        while !self.stop.load(Ordering::Relaxed) && self.serves(mb, transport) {
+            let msg = match transport.recv_timeout(RECV_WAIT) {
+                Ok(Some(msg)) => msg,
+                Ok(None) => continue,
+                Err(_) => break,
+            };
+            let now = self.now();
+            self.run(|core, out| core.handle_mb_message(mb, msg, now, out));
+        }
+        // On a reset or EOF every operation touching this MB aborts with
+        // MbUnreachable (or parks, given resume budget), as the sim
+        // harness reports link failures. Checked under the core lock, so
+        // a reattach that already swapped in a fresh transport stands.
+        let now = self.now();
+        self.run(|core, out| {
+            if !self.stop.load(Ordering::Relaxed) && self.serves(mb, transport) {
+                record(core, now, None, SpanEvent::TransportReset);
+                core.mark_unreachable(mb, now, out);
+            }
+        });
+    }
+
+    /// Fire the core's timers every `TICK` until shutdown.
+    fn tick_loop(&self) {
         while !self.stop.load(Ordering::Relaxed) {
-            let mut idle = true;
-            let n = self.transports.lock().len();
-            {
-                let mut dead = self.dead.lock();
-                if dead.len() < n {
-                    dead.resize(n, false);
-                }
-            }
-            for i in 0..n {
-                if self.dead.lock()[i] {
-                    continue;
-                }
-                let t = {
-                    let ts = self.transports.lock();
-                    Arc::clone(&ts[i])
-                };
-                let mb = MbId(i as u32);
-                loop {
-                    match t.try_recv() {
-                        Ok(Some(msg)) => {
-                            idle = false;
-                            let now = self.now();
-                            self.run(|core, out| core.handle_mb_message(mb, msg, now, out));
-                        }
-                        Ok(None) => break,
-                        Err(_) => {
-                            // Connection reset or EOF: every operation
-                            // touching this MB aborts with MbUnreachable
-                            // (or parks, given resume budget), exactly as
-                            // the sim harness reports link failures.
-                            self.dead.lock()[i] = true;
-                            let now = self.now();
-                            self.record(now, None, SpanEvent::TransportReset);
-                            self.run(|core, out| core.mark_unreachable(mb, now, out));
-                            break;
-                        }
-                    }
-                }
-            }
-            if last_tick.elapsed() > Duration::from_millis(25) {
-                last_tick = Instant::now();
-                let now = self.now();
-                self.run(|core, out| core.tick(now, out));
-            }
-            if idle {
-                std::thread::sleep(Duration::from_millis(1));
-            }
+            std::thread::sleep(TICK);
+            let now = self.now();
+            self.run(|core, out| core.tick(now, out));
         }
     }
 }

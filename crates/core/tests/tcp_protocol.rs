@@ -204,8 +204,8 @@ fn mid_transfer_disconnect_resumes_from_last_acked_chunk() {
         }
         drop(dst_mb);
 
-        // Let the pump notice the reset and park the move (resume budget
-        // is non-zero, so it must not abort).
+        // Let the receive thread notice the reset and park the move
+        // (resume budget is non-zero, so it must not abort).
         std::thread::sleep(Duration::from_millis(200));
 
         // Reconnect: same MB state and put-log, fresh transport.
@@ -372,9 +372,10 @@ fn dropped_connection_aborts_with_mb_unreachable() {
     let mb = controller.register_mb(Arc::new(ctl_end));
     controller.start();
 
-    // Sever the connection: the MB vanishes without answering. The pump
-    // must feed the reset into mark_unreachable, so the blocked
-    // northbound call aborts with a typed error instead of timing out.
+    // Sever the connection: the MB vanishes without answering. Its
+    // receive thread must feed the reset into mark_unreachable, so the
+    // blocked northbound call aborts with a typed error instead of
+    // timing out.
     drop(mb_end);
 
     let c = controller.stats(mb, HeaderFieldList::any(), Duration::from_secs(5)).unwrap();
@@ -554,7 +555,7 @@ fn transport_reset_and_reattach_are_recorded_under_controller() {
     let mb = controller.register_mb(Arc::new(ctl_end));
     controller.start();
 
-    // The call fails only once the pump has seen the reset.
+    // The call fails only once the receive thread has seen the reset.
     drop(mb_end);
     let c = controller.stats(mb, HeaderFieldList::any(), Duration::from_secs(5)).unwrap();
     assert!(matches!(c, Completion::Failed { error: Error::MbUnreachable(_), .. }), "{c:?}");
@@ -588,4 +589,124 @@ fn transport_reset_and_reattach_are_recorded_under_controller() {
     let reset = at(|e| matches!(e, SpanEvent::TransportReset));
     let reattached = at(|e| matches!(e, SpanEvent::TransportReattached));
     assert!(reset <= reattached, "reset recorded after the reattach:\n{dump}");
+}
+
+/// A monitor preloaded with `flows` observed flows, served on its own
+/// thread over an in-process channel pair; returns the controller's end
+/// of the pair and the serving thread.
+fn served_monitor(
+    flows: u8,
+    stop: &Arc<AtomicBool>,
+) -> (Arc<dyn openmb_types::transport::Transport + Sync>, std::thread::JoinHandle<()>) {
+    let (ctl_end, mb_end) = openmb_types::transport::channel_pair();
+    let stop = Arc::clone(stop);
+    let handle = std::thread::spawn(move || {
+        let mut monitor = Monitor::new();
+        let mut fx = Effects::normal();
+        for f in 1..=flows {
+            monitor.process_packet(SimTime(u64::from(f)), &http_pkt(u64::from(f), f), &mut fx);
+        }
+        serve_middlebox(&mut monitor, &mb_end, &stop).unwrap();
+    });
+    (Arc::new(ctl_end), handle)
+}
+
+/// A blocking call returns as soon as its reply lands: the controller
+/// blocks on each MB's transport instead of polling it with a sleep
+/// between empty passes (1 ms a pass made 200 round trips take ~220 ms).
+#[test]
+fn back_to_back_stats_round_trips_do_not_wait_on_a_poll_sleep() {
+    const CALLS: usize = 200;
+    let stop = Arc::new(AtomicBool::new(false));
+    let (t, served) = served_monitor(4, &stop);
+    let mut controller = TcpController::new(ControllerConfig::default());
+    let mb = controller.register_mb(t);
+    controller.start();
+
+    let stats = |controller: &TcpController| match controller
+        .stats(mb, HeaderFieldList::any(), Duration::from_secs(5))
+        .unwrap()
+    {
+        Completion::Stats { stats, .. } => assert_eq!(stats.perflow_report_chunks, 4),
+        other => panic!("unexpected {other:?}"),
+    };
+    // One call first, so the timed ones find every thread running.
+    stats(&controller);
+    let t0 = std::time::Instant::now();
+    for _ in 0..CALLS {
+        stats(&controller);
+    }
+    let took = t0.elapsed();
+    assert!(took < Duration::from_millis(100), "{CALLS} stats round trips took {took:?}");
+
+    controller.shutdown();
+    stop.store(true, std::sync::atomic::Ordering::Relaxed);
+    served.join().unwrap();
+}
+
+/// An MB registered after `start` gets its own receive thread at once:
+/// a move onto it completes.
+#[test]
+fn mb_registered_after_start_is_served() {
+    let stop = Arc::new(AtomicBool::new(false));
+    let (src_t, src_served) = served_monitor(12, &stop);
+    let (dst_t, dst_served) = served_monitor(0, &stop);
+    let mut controller = TcpController::new(ControllerConfig {
+        quiesce_after: SimDuration::from_millis(50),
+        ..ControllerConfig::default()
+    });
+    let src = controller.register_mb(src_t);
+    controller.start();
+    let dst = controller.register_mb(dst_t);
+
+    let c = controller
+        .move_internal(src, dst, HeaderFieldList::any(), Duration::from_secs(10))
+        .unwrap();
+    match c {
+        Completion::MoveComplete { chunks_moved, .. } => assert_eq!(chunks_moved, 12),
+        other => panic!("unexpected {other:?}"),
+    }
+    let c = controller.stats(dst, HeaderFieldList::any(), Duration::from_secs(5)).unwrap();
+    match c {
+        Completion::Stats { stats, .. } => assert_eq!(stats.perflow_report_chunks, 12),
+        other => panic!("unexpected {other:?}"),
+    }
+
+    controller.shutdown();
+    stop.store(true, std::sync::atomic::Ordering::Relaxed);
+    src_served.join().unwrap();
+    dst_served.join().unwrap();
+}
+
+/// `shutdown` stops and joins every controller thread even though no
+/// peer has hung up: it returns promptly, and the receive threads have
+/// let go of their transports (only the test and the controller's
+/// registry still hold one).
+#[test]
+fn shutdown_joins_every_thread_while_peers_are_connected() {
+    let stop = Arc::new(AtomicBool::new(false));
+    let (a, a_served) = served_monitor(2, &stop);
+    let (b, b_served) = served_monitor(2, &stop);
+    let mut controller = TcpController::new(ControllerConfig::default());
+    let a_id = controller.register_mb(Arc::clone(&a));
+    controller.start();
+    let b_id = controller.register_mb(Arc::clone(&b));
+    for mb in [a_id, b_id] {
+        let c = controller.stats(mb, HeaderFieldList::any(), Duration::from_secs(5)).unwrap();
+        assert!(matches!(c, Completion::Stats { .. }), "{c:?}");
+    }
+    // Test, registry and receive thread (and, for a moment, a sender).
+    assert!(Arc::strong_count(&a) >= 3 && Arc::strong_count(&b) >= 3);
+
+    let t0 = std::time::Instant::now();
+    controller.shutdown();
+    let took = t0.elapsed();
+    assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+    assert_eq!((Arc::strong_count(&a), Arc::strong_count(&b)), (2, 2));
+    assert!(!a_served.is_finished() && !b_served.is_finished(), "peers still connected");
+
+    drop(controller);
+    stop.store(true, std::sync::atomic::Ordering::Relaxed);
+    a_served.join().unwrap();
+    b_served.join().unwrap();
 }

@@ -90,11 +90,17 @@ impl ConnState {
 /// line cannot grow its state or its per-packet scan cost.
 const HTTP_LINE_CAP: usize = 4096;
 
+/// Most completed request lines the HTTP analyzer keeps per flow, the
+/// latest ones. Every line is logged when it completes, so a keep-alive
+/// flow does not grow its state with each request it carries.
+const HTTP_REQUESTS_KEPT: usize = 16;
+
 /// The nested HTTP analyzer hanging off a connection (one branch of
 /// Bro's per-connection object tree).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct HttpAnalyzer {
-    /// Completed request lines ("GET /index.html").
+    /// The latest completed request lines ("GET /index.html"), at most
+    /// `HTTP_REQUESTS_KEPT`.
     pub requests: Vec<String>,
     /// Bytes of a request line split across packets (at most
     /// `HTTP_LINE_CAP`).
@@ -200,10 +206,10 @@ impl ConnRecord {
         let resp_bytes = r.u64()?;
         let http = if r.u8()? == 1 {
             let n = r.u32()? as usize;
-            if n > 1_000_000 {
-                return Err(Error::MalformedChunk("absurd request count".into()));
+            if n > HTTP_REQUESTS_KEPT {
+                return Err(Error::MalformedChunk("too many request lines".into()));
             }
-            let mut requests = Vec::with_capacity(n.min(4096));
+            let mut requests = Vec::with_capacity(n);
             for _ in 0..n {
                 requests.push(r.str()?);
             }
@@ -508,6 +514,9 @@ impl Ips {
                     http.partial.clear();
                     if line.starts_with(b"GET") || line.starts_with(b"POST") {
                         let text = String::from_utf8_lossy(&line).into_owned();
+                        if http.requests.len() == HTTP_REQUESTS_KEPT {
+                            http.requests.remove(0);
+                        }
                         http.requests.push(text.clone());
                         if !fx.is_replay() {
                             self.stat.http_requests_logged += 1;
@@ -1100,6 +1109,26 @@ mod tests {
         let bytes = ips.stats(&HeaderFieldList::any()).perflow_support_bytes;
         assert!(bytes < HTTP_LINE_CAP + 512, "per-flow state grew to {bytes} B");
         assert!(fx.take_logs().iter().all(|l| l.log != "http.log"));
+    }
+
+    #[test]
+    fn keep_alive_requests_stay_bounded() {
+        const REQUESTS: u64 = 10_000;
+        let mut ips = Ips::new();
+        let key = conn_key(7400);
+        let mut fx = Effects::normal();
+        for i in 0..REQUESTS {
+            let line = Bytes::from(format!("GET /r/{i:05} HTTP/1.1\r\n"));
+            ips.process_packet(SimTime(i), &Packet::tcp(i, key, tcp_flags::ACK, line), &mut fx);
+        }
+        let http = ips.conns_sorted().pop().expect("one connection").http.expect("analyzer");
+        assert_eq!(http.requests.len(), HTTP_REQUESTS_KEPT);
+        assert_eq!(http.requests.last().map(String::as_str), Some("GET /r/09999 HTTP/1.1"));
+        // Each kept line costs its 21 bytes plus a length prefix.
+        let bytes = ips.stats(&HeaderFieldList::any()).perflow_support_bytes;
+        assert!(bytes < HTTP_REQUESTS_KEPT * 32 + 512, "per-flow state grew to {bytes} B");
+        let logged = fx.take_logs().iter().filter(|l| l.log == "http.log").count();
+        assert_eq!(logged as u64, REQUESTS, "every request is still logged");
     }
 
     #[test]

@@ -107,9 +107,9 @@ fn one_message_per_tag() -> Vec<Message> {
     msgs
 }
 
-/// Run `body` through every decoder entry point the TCP pump can reach:
-/// `decode`, `decode_bytes`, and `read_frame` behind a true and a
-/// forged length prefix. Any of them may fail; none may panic.
+/// Run `body` through every decoder entry point a TCP receive thread
+/// can reach: `decode`, `decode_bytes`, and `read_frame` behind a true
+/// and a forged length prefix. Any of them may fail; none may panic.
 fn decode_everywhere(body: &[u8], forged_len: u32) {
     let _ = wire::decode(body);
     let _ = wire::decode_bytes(&Bytes::from(body.to_vec()));
