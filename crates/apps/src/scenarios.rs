@@ -98,7 +98,6 @@ pub fn two_mb_scenario<A: Middlebox + 'static, B: Middlebox + 'static>(
     let mut controller = ControllerNode::new(
         ControllerConfig {
             quiesce_after: params.quiesce_after,
-            compress_transfers: false,
             buffer_events: params.buffer_events,
             ..ControllerConfig::default()
         },
@@ -257,7 +256,6 @@ pub fn re_scenario(
     let mut controller = ControllerNode::new(
         ControllerConfig {
             quiesce_after: params.quiesce_after,
-            compress_transfers: false,
             buffer_events: params.buffer_events,
             ..ControllerConfig::default()
         },
@@ -375,8 +373,8 @@ pub mod multi_layout {
 /// No switch and no data plane: transfer choreographies are pure
 /// control-plane exchanges, and endpoints are preloaded through their
 /// logic before construction. `mk_pair(i)` builds pair `i`'s
-/// `(source, destination)` logic; `config` reaches the controller as-is
-/// (set `shards` here to exercise the sharded core).
+/// `(source, destination)` logic; `config` reaches the controller as-is,
+/// so the K pairs' transfers run concurrently through one core.
 pub fn multi_pair_scenario<M: Middlebox + 'static>(
     mut mk_pair: impl FnMut(usize) -> (M, M),
     pairs: usize,

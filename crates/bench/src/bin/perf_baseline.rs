@@ -20,9 +20,7 @@ use openmb_openflow::FlowTable;
 use openmb_types::crypto::VendorKey;
 use openmb_types::sdn::{FlowRule, SdnAction};
 use openmb_types::wire::{self, Message};
-use openmb_types::{
-    EncryptedChunk, FlowKey, HeaderFieldList, IpPrefix, MbId, NodeId, OpId, StateChunk,
-};
+use openmb_types::{EncryptedChunk, FlowKey, HeaderFieldList, IpPrefix, NodeId, OpId, StateChunk};
 
 /// Repeats per bench; the fastest is reported.
 const REPEATS: usize = 7;
@@ -178,7 +176,6 @@ fn run_benches() -> Vec<Bench> {
     let monitored = Recorder::enabled(1024);
     let mtag = monitored.register("bench");
     monitored.add_sink(std::sync::Arc::new(Monitor::new(MonitorConfig {
-        shards: 4,
         transfer_window: 64,
         ..MonitorConfig::default()
     })));
@@ -202,36 +199,7 @@ fn run_benches() -> Vec<Bench> {
         optimized_ns: pipeline_off,
     };
 
-    // Shard-router dispatch: admission-time conflict scan (walks the
-    // active-transfer table) vs the steady-state O(1) op-id residue
-    // demux every southbound message takes. Not gated — absolute ns/op
-    // at this scale is all scheduler noise; the number to watch is the
-    // residue path staying flat as the active table grows.
-    use openmb_core::router::{Admission, ShardRouter};
-    let mut router = ShardRouter::new(4);
-    for i in 0..64u32 {
-        let pattern = HeaderFieldList::from_src_subnet(IpPrefix::new(
-            Ipv4Addr::from(0x0a00_0000 + (i << 16)),
-            16,
-        ));
-        let (src, dst) = (MbId(2 * i), MbId(2 * i + 1));
-        let shard = match router.admit(&pattern, src, dst) {
-            Admission::Run { shard, .. } | Admission::Defer { shard, .. } => shard,
-        };
-        router.register_transfer(OpId(u64::from(i) + 1), pattern, src, dst, shard);
-    }
-    let probe = HeaderFieldList::from_src_subnet(IpPrefix::new(Ipv4Addr::new(172, 16, 0, 0), 16));
-    let router_dispatch = Bench {
-        name: "router_dispatch",
-        gated: false,
-        floor: None,
-        baseline_ns: measure(|| match router.admit(black_box(&probe), MbId(200), MbId(201)) {
-            Admission::Run { shard, .. } | Admission::Defer { shard, .. } => shard,
-        }),
-        optimized_ns: measure(|| router.shard_of_op(black_box(OpId(37)))),
-    };
-
-    let mut benches = vec![wire_len, flow_lookup, decode, recorder, obs_pipeline, router_dispatch];
+    let mut benches = vec![wire_len, flow_lookup, decode, recorder, obs_pipeline];
     benches.extend(mb_batch_benches());
     benches.push(effects_replay_bench());
     benches

@@ -18,22 +18,13 @@
 //! the warm pass — a repeated or resumed move — answers every reference
 //! from the cache, so only the ~55-byte refs cross the wire.
 //!
-//! The multi-op axis measures the sharded controller: K disjoint
-//! 100k-flow moves (disjoint MB pairs, disjoint two-sided subnets)
-//! driven through the same windowed pipeline at `shards = 1` vs
-//! `shards = K`, with every southbound message priced by the
-//! [`ControllerCosts`] model the simulator uses and attributed to its
-//! owning shard. Shards are independent modeled servers, so the
-//! *virtual-time makespan* of the run is the busiest shard's total
-//! service time — deterministic, machine-independent, and therefore
-//! gateable in CI. The speedup is the 1-shard makespan over the
-//! K-shard makespan: it collapses to ~1x the moment routing or the
-//! conflict detector wrongly serializes disjoint ops onto one shard.
-//!
 //! The chain axis measures the chain-move layer: one K-hop
 //! [`ChainSpec`] (K disjoint MB pairs, one wildcard flow group) driven
-//! through `chain_move`, every southbound message priced by the same
-//! [`ControllerCosts`] model. Hops run serially by design, so the ideal
+//! through `chain_move`, every southbound message priced by the
+//! [`ControllerCosts`] model the simulator uses. The virtual-time
+//! makespan is the controller's total service time — deterministic,
+//! machine-independent, and therefore gateable in CI. Hops run
+//! serially by design, so the ideal
 //! virtual-time makespan is K × a single hop's; the gate bounds the
 //! *orchestration tax* — how far the chain's actual makespan sits above
 //! that ideal. The tax is pure virtual time (deterministic), so the
@@ -44,20 +35,18 @@
 //! Usage:
 //!   scale_bench [OUT.json]        full run: 10k + 100k comparisons,
 //!                                 10k/100k/1M scale table, cold/warm
-//!                                 bytes at 10k/100k, 4x100k multi-op
-//!                                 axis, 4x100k chain axis, write JSON
-//!   scale_bench --smoke           10k windowed drive + 4x5k multi-op
-//!                                 drive + 4x5k chain drive, invariant
-//!                                 asserts only (fast; per-commit CI)
+//!                                 bytes at 10k/100k, 4x100k chain
+//!                                 axis, write JSON
+//!   scale_bench --smoke           10k windowed drive + 4x5k chain
+//!                                 drive, invariant asserts only (fast;
+//!                                 per-commit CI)
 //!   scale_bench --check BASE.json re-measure the gated benches and
 //!                                 fail (exit 1) if the ledger speedup
 //!                                 regressed >20% vs the committed
 //!                                 baseline, warm-move bytes savings
-//!                                 fell below the 90% floor, the
-//!                                 multi-op virtual-time speedup fell
-//!                                 below the 3x floor, or the chain
-//!                                 orchestration tax rose above the 5%
-//!                                 ceiling
+//!                                 fell below the 90% floor, or the
+//!                                 chain orchestration tax rose above
+//!                                 the 5% ceiling
 
 use std::collections::HashSet;
 use std::hint::black_box;
@@ -71,7 +60,7 @@ use openmb_simnet::{SimDuration, SimTime};
 use openmb_store::{ContentStore, MemoryContentStore};
 use openmb_types::crypto::VendorKey;
 use openmb_types::wire::{self, Message};
-use openmb_types::{EncryptedChunk, FlowKey, HeaderFieldList, IpPrefix, MbId, OpId, StateChunk};
+use openmb_types::{EncryptedChunk, FlowKey, HeaderFieldList, MbId, OpId, StateChunk};
 
 /// Sliding window used for every windowed drive.
 const WINDOW: u32 = 512;
@@ -86,13 +75,6 @@ const MAX_REGRESSION: f64 = 0.20;
 /// CI gate: a warm (cache-primed) repeated move must put at least this
 /// many percent fewer bytes on the destination's wire than a cold one.
 const MIN_SAVINGS: f64 = 90.0;
-/// Simultaneous disjoint moves (and shards) in the multi-op axis.
-const MULTI_OPS: usize = 4;
-/// CI gate: virtual-time makespan speedup floor for [`MULTI_OPS`]
-/// disjoint moves at `shards = MULTI_OPS` vs `shards = 1`. Virtual time
-/// is deterministic (no machine speed in it), so the acceptance
-/// threshold itself is the gate, like the bytes-savings floor.
-const MIN_MULTI_SPEEDUP: f64 = 3.0;
 /// Hops in the chain axis.
 const CHAIN_HOPS: usize = 4;
 /// CI gate: a [`CHAIN_HOPS`]-hop chain's virtual-time makespan may sit
@@ -374,68 +356,9 @@ fn scale_row(n: u32, blob: &EncryptedChunk) -> ScaleRow {
     }
 }
 
-// ----------------------------------------------------------------------
-// Multi-op axis: K disjoint moves, virtual-time makespan per shard count
-// ----------------------------------------------------------------------
-
-/// Two-sided "within subnet `10.b.0.0/16`" pattern: flows whose src
-/// *and* dst stay inside one tenant subnet. Disjoint `b`s are disjoint
-/// even direction-insensitively, which is what lets the conflict
-/// detector hash them to different shards.
-fn multi_subnet(b: u8) -> HeaderFieldList {
-    let p = IpPrefix::new(Ipv4Addr::new(10, b, 0, 0), 16);
-    HeaderFieldList { nw_src: p, nw_dst: p, ..HeaderFieldList::any() }
-}
-
-/// Flow `j` of tenant `b`: both endpoints inside `10.b.0.0/16`.
-fn multi_key(b: u8, j: u32) -> FlowKey {
-    FlowKey::tcp(
-        Ipv4Addr::new(10, b, (j >> 8) as u8, j as u8),
-        (1000 + (j >> 16)) as u16,
-        Ipv4Addr::new(10, b, 255, 1),
-        80,
-    )
-}
-
-/// Pick `k` subnet bytes whose (flowspace, MB pair `i`) hashes land on
-/// `k` distinct shards. Placement is a deterministic hash, so the
-/// search always converges in a handful of probes; pinning the spread
-/// makes the gate measure the per-shard service model (and regressions
-/// where routing or conflict detection wrongly serializes disjoint
-/// ops), not hash luck over arbitrary subnets.
-fn pick_spread_subnets(shards: u32, k: usize) -> Vec<u8> {
-    let mut bs = Vec::new();
-    let mut b: u16 = 0;
-    for i in 0..k {
-        loop {
-            assert!(b < 256, "no subnet byte hashes pair {i} to shard {i}");
-            let cand = b as u8;
-            b += 1;
-            let mut core =
-                ControllerCore::new(ControllerConfig { shards, ..ControllerConfig::default() });
-            let pairs: Vec<(MbId, MbId)> =
-                (0..k).map(|_| (core.register_mb(), core.register_mb())).collect();
-            let mut out = Vec::new();
-            let op = core.move_internal(
-                pairs[i].0,
-                pairs[i].1,
-                multi_subnet(cand),
-                SimTime(0),
-                &mut out,
-            );
-            if core.shard_of_op(op) == i % shards as usize {
-                bs.push(cand);
-                break;
-            }
-        }
-    }
-    bs
-}
-
 /// Virtual service cost of one southbound message at the controller —
-/// the same pricing `ControllerNode::pump_shard` applies in the
-/// simulator, so the makespan here is the virtual time a sim run with
-/// these shards would charge.
+/// the same pricing `ControllerNode::pump` applies in the simulator, so
+/// the makespan here is the virtual time a sim run would charge.
 fn service_ns(costs: &ControllerCosts, msg: &Message) -> u64 {
     let mut d = costs.per_message;
     match msg {
@@ -451,205 +374,21 @@ fn service_ns(costs: &ControllerCosts, msg: &Message) -> u64 {
     d.0
 }
 
-/// Price `msg` (per inner message, the way the sim's per-shard queues
-/// do), attribute the cost to the owning shard, then deliver it.
+/// Price `msg` (per inner message, the way the sim's work queue does),
+/// add the cost to the virtual clock `virt`, then deliver it.
 fn feed(
     core: &mut ControllerCore,
     from: MbId,
     msg: Message,
     costs: &ControllerCosts,
-    virt: &mut [u64],
+    virt: &mut u64,
     out: &mut Vec<Action>,
 ) {
     match &msg {
-        Message::Batch { msgs } => {
-            for m in msgs {
-                virt[core.shard_of_message(from, m)] += service_ns(costs, m);
-            }
-        }
-        m => virt[core.shard_of_message(from, m)] += service_ns(costs, m),
+        Message::Batch { msgs } => *virt += msgs.iter().map(|m| service_ns(costs, m)).sum::<u64>(),
+        m => *virt += service_ns(costs, m),
     }
     core.handle_mb_message(from, msg, SimTime(0), out);
-}
-
-/// One in-flight move of the multi-op drive.
-struct OpStream {
-    src: MbId,
-    dst: MbId,
-    op: OpId,
-    gs: OpId,
-    gr: OpId,
-    subnet: u8,
-    completed: bool,
-}
-
-/// Ack every outstanding put across all streams, re-pricing the ack
-/// frames, until the action queue quiets. Mirrors [`pump_acks`] with K
-/// destinations (streaming mode only — no content store).
-fn multi_pump(
-    core: &mut ControllerCore,
-    streams: &mut [OpStream],
-    costs: &ControllerCosts,
-    virt: &mut [u64],
-    out: &mut Vec<Action>,
-) {
-    loop {
-        let mut acks: Vec<Vec<Message>> = streams.iter().map(|_| Vec::new()).collect();
-        for a in out.drain(..) {
-            match a {
-                Action::ToMb(to, m) => match m {
-                    Message::PutSupportPerflow { op, chunk }
-                    | Message::PutReportPerflow { op, chunk } => {
-                        let i = streams
-                            .iter()
-                            .position(|s| s.dst == to)
-                            .expect("puts only target a stream's destination");
-                        acks[i].push(Message::PutAck { op, key: Some(chunk.key) });
-                    }
-                    Message::PutSupportShared { op, .. } | Message::PutReportShared { op, .. } => {
-                        let i = streams.iter().position(|s| s.dst == to).expect("dst");
-                        acks[i].push(Message::PutAck { op, key: None });
-                    }
-                    _ => {}
-                },
-                Action::Notify(Completion::MoveComplete { op, .. }) => {
-                    if let Some(s) = streams.iter_mut().find(|s| s.op == op) {
-                        s.completed = true;
-                    }
-                }
-                _ => {}
-            }
-        }
-        if acks.iter().all(Vec::is_empty) {
-            return;
-        }
-        for (i, mut msgs) in acks.into_iter().enumerate() {
-            if msgs.is_empty() {
-                continue;
-            }
-            let dst = streams[i].dst;
-            let frame =
-                if msgs.len() == 1 { msgs.pop().expect("len 1") } else { Message::Batch { msgs } };
-            feed(core, dst, frame, costs, virt, out);
-        }
-    }
-}
-
-/// What one multi-op drive observed.
-struct MultiDrive {
-    wall_ns: u128,
-    /// Virtual-time makespan: the busiest shard's total service time.
-    virt_makespan_ns: u64,
-    /// Total virtual service time across shards (identical workload
-    /// check: must match across shard counts).
-    virt_total_ns: u64,
-    /// Distinct shards the K ops landed on.
-    shards_used: usize,
-}
-
-/// Drive `k` disjoint `n`-flow moves simultaneously through one
-/// controller at the given shard count, interleaving the streams
-/// round-robin so every shard's queue stays busy — the concurrent
-/// traffic shape `ControllerNode` services with one modeled server per
-/// shard.
-fn multi_move(shards: u32, n: u32, subnets: &[u8], blob: &EncryptedChunk) -> MultiDrive {
-    let costs = ControllerCosts::default();
-    let mut core = ControllerCore::new(ControllerConfig {
-        shards,
-        transfer_window: WINDOW,
-        content_cache: false,
-        ..ControllerConfig::default()
-    });
-    let pairs: Vec<(MbId, MbId)> =
-        subnets.iter().map(|_| (core.register_mb(), core.register_mb())).collect();
-    let now = SimTime(0);
-    let mut virt = vec![0u64; shards.max(1) as usize];
-
-    let t = Instant::now();
-    let mut out = Vec::new();
-    let mut streams: Vec<OpStream> = Vec::new();
-    for (&(src, dst), &subnet) in pairs.iter().zip(subnets) {
-        let op = core.move_internal(src, dst, multi_subnet(subnet), now, &mut out);
-        let (mut gs, mut gr) = (None, None);
-        for a in out.drain(..) {
-            if let Action::ToMb(_, m) = a {
-                match m {
-                    Message::GetSupportPerflow { op, .. } => gs = Some(op),
-                    Message::GetReportPerflow { op, .. } => gr = Some(op),
-                    _ => {}
-                }
-            }
-        }
-        streams.push(OpStream {
-            src,
-            dst,
-            op,
-            gs: gs.expect("support get"),
-            gr: gr.expect("report get"),
-            subnet,
-            completed: false,
-        });
-    }
-    let shards_used: HashSet<usize> = streams.iter().map(|s| core.shard_of_op(s.op)).collect();
-    let shards_used = shards_used.len();
-
-    // Monitor-style sources: no per-flow supporting state.
-    let acks: Vec<(MbId, OpId)> = streams.iter().map(|s| (s.src, s.gs)).collect();
-    for (src, gs) in acks {
-        feed(&mut core, src, Message::GetAck { op: gs, count: 0 }, &costs, &mut virt, &mut out);
-    }
-    multi_pump(&mut core, &mut streams, &costs, &mut virt, &mut out);
-
-    // All k chunk streams interleave round-robin in BATCH-sized frames,
-    // with the shared ack round-trip every BURST chunks — every op's
-    // window fills and refills concurrently with the others'.
-    let mut base = 0u32;
-    while base < n {
-        let hi = (base + BATCH as u32).min(n);
-        let frames: Vec<(MbId, OpId, u8)> =
-            streams.iter().map(|s| (s.src, s.gr, s.subnet)).collect();
-        for (src, gr, subnet) in frames {
-            let msgs: Vec<Message> = (base..hi)
-                .map(|j| Message::Chunk {
-                    op: gr,
-                    chunk: StateChunk::new(
-                        HeaderFieldList::exact(multi_key(subnet, j)),
-                        blob.clone(),
-                    ),
-                })
-                .collect();
-            feed(&mut core, src, Message::Batch { msgs }, &costs, &mut virt, &mut out);
-        }
-        if hi.is_multiple_of(BURST) || hi == n {
-            multi_pump(&mut core, &mut streams, &costs, &mut virt, &mut out);
-        }
-        base = hi;
-    }
-    let finals: Vec<(MbId, OpId)> = streams.iter().map(|s| (s.src, s.gr)).collect();
-    for (src, gr) in finals {
-        feed(&mut core, src, Message::GetAck { op: gr, count: n }, &costs, &mut virt, &mut out);
-    }
-    multi_pump(&mut core, &mut streams, &costs, &mut virt, &mut out);
-    let wall_ns = t.elapsed().as_nanos();
-
-    for s in &streams {
-        assert!(s.completed, "move {:?} of {n} chunks must complete", s.op);
-        let stats = core.transfer_ledger_stats(s.op);
-        assert_eq!(stats.puts_in_flight, 0);
-        assert_eq!(stats.puts_queued, 0);
-        assert!(
-            stats.in_flight_peak <= WINDOW as usize,
-            "op {:?}: peak ledger {} exceeded window {WINDOW}",
-            s.op,
-            stats.in_flight_peak
-        );
-    }
-    MultiDrive {
-        wall_ns,
-        virt_makespan_ns: virt.iter().copied().max().unwrap_or(0),
-        virt_total_ns: virt.iter().sum(),
-        shards_used,
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -672,7 +411,7 @@ struct ChainSink {
 fn chain_pump(
     core: &mut ControllerCore,
     costs: &ControllerCosts,
-    virt: &mut [u64],
+    virt: &mut u64,
     out: &mut Vec<Action>,
     sink: &mut ChainSink,
 ) {
@@ -711,7 +450,7 @@ fn chain_pump(
 /// What one chain drive observed.
 struct ChainDrive {
     wall_ns: u128,
-    /// Virtual-time makespan (busiest shard — a chain pins to one).
+    /// Virtual-time makespan: the controller's total service time.
     virt_makespan_ns: u64,
     chunks_moved: usize,
 }
@@ -723,7 +462,6 @@ struct ChainDrive {
 fn chain_drive(hops: usize, n: u32, blob: &EncryptedChunk) -> ChainDrive {
     let costs = ControllerCosts::default();
     let mut core = ControllerCore::new(ControllerConfig {
-        shards: MULTI_OPS as u32,
         transfer_window: WINDOW,
         content_cache: false,
         ..ControllerConfig::default()
@@ -731,7 +469,7 @@ fn chain_drive(hops: usize, n: u32, blob: &EncryptedChunk) -> ChainDrive {
     let pairs: Vec<(MbId, MbId)> =
         (0..hops).map(|_| (core.register_mb(), core.register_mb())).collect();
     let now = SimTime(0);
-    let mut virt = vec![0u64; MULTI_OPS];
+    let mut virt = 0u64;
     let mut out = Vec::new();
     let mut sink = ChainSink { next_gs: None, next_gr: None, committed: false, chunks_moved: 0 };
 
@@ -783,11 +521,7 @@ fn chain_drive(hops: usize, n: u32, blob: &EncryptedChunk) -> ChainDrive {
         "chain: peak ledger {} exceeded window {WINDOW}",
         stats.in_flight_peak
     );
-    ChainDrive {
-        wall_ns,
-        virt_makespan_ns: virt.iter().copied().max().unwrap_or(0),
-        chunks_moved: sink.chunks_moved,
-    }
+    ChainDrive { wall_ns, virt_makespan_ns: virt, chunks_moved: sink.chunks_moved }
 }
 
 /// The chain comparison: a [`CHAIN_HOPS`]-hop chain vs the serial ideal
@@ -823,60 +557,10 @@ fn print_chain(c: &ChainRow) {
     );
 }
 
-/// The multi-op comparison: identical workload at 1 shard vs
-/// [`MULTI_OPS`] shards; speedup is the virtual-time makespan ratio.
-struct MultiRow {
-    ops: usize,
-    flows_per_op: u32,
-    virt_ms_1shard: f64,
-    virt_ms_sharded: f64,
-    wall_ms_1shard: f64,
-    wall_ms_sharded: f64,
-    speedup: f64,
-}
-
-fn multi_row(n: u32, blob: &EncryptedChunk) -> MultiRow {
-    let shards = MULTI_OPS as u32;
-    let subnets = pick_spread_subnets(shards, MULTI_OPS);
-    let d1 = multi_move(1, n, &subnets, blob);
-    let dn = multi_move(shards, n, &subnets, blob);
-    assert_eq!(d1.shards_used, 1);
-    assert_eq!(
-        dn.shards_used, MULTI_OPS,
-        "probed subnets {subnets:?} must spread over all {MULTI_OPS} shards"
-    );
-    assert_eq!(
-        d1.virt_total_ns, dn.virt_total_ns,
-        "both shard counts must service the identical workload"
-    );
-    MultiRow {
-        ops: MULTI_OPS,
-        flows_per_op: n,
-        virt_ms_1shard: d1.virt_makespan_ns as f64 / 1e6,
-        virt_ms_sharded: dn.virt_makespan_ns as f64 / 1e6,
-        wall_ms_1shard: d1.wall_ns as f64 / 1e6,
-        wall_ms_sharded: dn.wall_ns as f64 / 1e6,
-        speedup: d1.virt_makespan_ns as f64 / dn.virt_makespan_ns as f64,
-    }
-}
-
-fn print_multi(m: &MultiRow) {
-    println!(
-        "multi {}x{} flows: virtual makespan {:>10.1} ms @1 shard  {:>10.1} ms @{} shards  speedup {:>5.2}x",
-        m.ops,
-        m.flows_per_op,
-        m.virt_ms_1shard,
-        m.virt_ms_sharded,
-        m.ops,
-        m.speedup
-    );
-}
-
 fn to_json(
     benches: &[Bench],
     scale: &[ScaleRow],
     bytes: &[BytesRow],
-    multi: &[MultiRow],
     chain: &[ChainRow],
 ) -> String {
     let mut s = String::from("{\n  \"benches\": [\n");
@@ -915,22 +599,6 @@ fn to_json(
             b.warm_bytes,
             b.savings_pct,
             if i + 1 < bytes.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n  \"multi\": [\n");
-    for (i, m) in multi.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": \"multi_{}x{}k\", \"ops\": {}, \"flows_per_op\": {}, \"virt_ms_1shard\": {:.2}, \"virt_ms_sharded\": {:.2}, \"wall_ms_1shard\": {:.2}, \"wall_ms_sharded\": {:.2}, \"speedup\": {:.2}}}{}\n",
-            m.ops,
-            m.flows_per_op / 1000,
-            m.ops,
-            m.flows_per_op,
-            m.virt_ms_1shard,
-            m.virt_ms_sharded,
-            m.wall_ms_1shard,
-            m.wall_ms_sharded,
-            m.speedup,
-            if i + 1 < multi.len() { "," } else { "" }
         ));
     }
     s.push_str("  ],\n  \"chain\": [\n");
@@ -1000,15 +668,6 @@ fn main() {
             "warm 10k move saved only {:.2}% of bytes on the wire (floor {MIN_SAVINGS}%)",
             b.savings_pct
         );
-        let m = multi_row(5_000, &blob);
-        print_multi(&m);
-        assert!(
-            m.speedup >= MIN_MULTI_SPEEDUP,
-            "{} disjoint 5k moves sped up only {:.2}x at {} shards (floor {MIN_MULTI_SPEEDUP}x)",
-            m.ops,
-            m.speedup,
-            m.ops
-        );
         let c = chain_row(5_000, &blob);
         print_chain(&c);
         assert!(
@@ -1069,27 +728,6 @@ fn main() {
             std::process::exit(1);
         }
         println!("ok   bytes_10k: warm move saved {:.2}% (floor {MIN_SAVINGS}%)", b.savings_pct);
-        // The multi-op gate is also an absolute floor: the makespan
-        // ratio is pure virtual time, so the acceptance threshold is
-        // the gate. Re-measured at 4x25k — the ratio is size-
-        // independent, and --check stays fast.
-        let m = multi_row(25_000, &blob);
-        print_multi(&m);
-        if m.speedup < MIN_MULTI_SPEEDUP {
-            eprintln!(
-                "FAIL multi: {} disjoint moves sped up only {:.2}x at {} shards (floor {MIN_MULTI_SPEEDUP}x)",
-                m.ops, m.speedup, m.ops
-            );
-            std::process::exit(1);
-        }
-        if json_field(&committed, &format!("multi_{MULTI_OPS}x100k"), "speedup").is_none() {
-            eprintln!("FAIL multi_{MULTI_OPS}x100k: not present in committed baseline");
-            std::process::exit(1);
-        }
-        println!(
-            "ok   multi: virtual-time speedup {:.2}x at {} shards (floor {MIN_MULTI_SPEEDUP}x)",
-            m.speedup, m.ops
-        );
         // The chain gate is an absolute ceiling on the orchestration
         // tax, same reasoning: pure virtual time. Re-measured at
         // 4x10k — the tax is size-independent, and --check stays fast.
@@ -1156,19 +794,6 @@ fn main() {
         bytes.push(b);
     }
 
-    // Multi-op axis: 4 disjoint 100k-flow moves, 1 shard vs 4. The
-    // acceptance bar (≥3x virtual-time speedup) is asserted here so a
-    // full run is itself the evidence.
-    let m = multi_row(100_000, &blob);
-    print_multi(&m);
-    assert!(
-        m.speedup >= MIN_MULTI_SPEEDUP,
-        "{} disjoint 100k moves sped up only {:.2}x at {} shards (floor {MIN_MULTI_SPEEDUP}x)",
-        m.ops,
-        m.speedup,
-        m.ops
-    );
-
     // Chain axis: one 4-hop 100k-flow chain vs the serial ideal. The
     // acceptance bar (orchestration tax ≤ 5%) is asserted here so a
     // full run is itself the evidence.
@@ -1182,7 +807,6 @@ fn main() {
     );
 
     let out = args.first().map(String::as_str).unwrap_or("BENCH_PR8.json");
-    std::fs::write(out, to_json(&[gated, big], &scale, &bytes, &[m], &[c]))
-        .expect("write baseline");
+    std::fs::write(out, to_json(&[gated, big], &scale, &bytes, &[c])).expect("write baseline");
     println!("wrote {out}");
 }

@@ -13,22 +13,13 @@
 //! [`crate::controller::ControllerCore::chain_move`] runs a
 //! [`ChainSpec`] as one transaction:
 //!
-//! * **Admission is whole-chain.** Every hop's `(flowspace, src, dst)`
-//!   registers in the [`crate::router::ShardRouter`] conflict table
-//!   under the chain's id before any southbound traffic is issued, and
-//!   the verdict is computed over the union of hop conflict sets — so
-//!   all hops pin to ONE shard's FIFO, or the chain defers until its
-//!   cross-shard blockers close. Registering the whole footprint
-//!   up-front (never hop-by-hop) is what makes two chains with
-//!   reversed hop orders deadlock-free: there is no incremental lock
-//!   acquisition to interleave.
 //! * **Hops run in order.** Hop `k+1`'s per-flow move is issued only
-//!   once hop `k`'s [`crate::shard::Completion::MoveComplete`] arrives.
-//!   Each hop is an ordinary windowed, resumable move on the chain's
-//!   shard, with all of the shard's ledgers (acked-delete, rollback,
-//!   resume) intact.
+//!   once hop `k`'s [`crate::controller::Completion::MoveComplete`]
+//!   arrives. Each hop is an ordinary windowed, resumable move, with
+//!   all of the core's ledgers (acked-delete, rollback, resume) intact.
 //! * **Commit is all-or-nothing.** Only when the last hop completes
-//!   does the chain emit [`crate::shard::Completion::ChainComplete`].
+//!   does the chain emit
+//!   [`crate::controller::Completion::ChainComplete`].
 //!   If any hop fails (deadline, endpoint loss, validation), the hop
 //!   itself has already rolled its own partial destination state back;
 //!   the chain then *compensates* the hops that did complete by moving
@@ -45,25 +36,19 @@
 //!   A reverse move can itself fail (its target may be the endpoint
 //!   that just crashed); it is retried, paced by the maintenance tick
 //!   and reachability events, up to
-//!   [`crate::shard::ControllerConfig::chain_rollback_retries`] times.
+//!   [`crate::controller::ControllerConfig::chain_rollback_retries`]
+//!   times.
 //!
 //! Chain ids live in their own [`CHAIN_OP_BASE`] namespace, far above
-//! any shard's residue-class allocation: they never appear in
-//! southbound traffic (only the per-hop ops do), so demux arithmetic
-//! is untouched, and the facade can tell "chain" from "shard op" by a
-//! single compare.
+//! the core's op-id stream: they never appear in southbound traffic
+//! (only the per-hop ops do).
 
 use openmb_types::{Error, HeaderFieldList, MbId, OpId};
 
-/// First op id of the chain namespace. Shard residue allocation counts
-/// up from 1 and could not plausibly reach this in any run; chain ids
-/// count up from here. Southbound messages never carry a chain id.
+/// First op id of the chain namespace. The core's op ids count up from
+/// 1 and could not plausibly reach this in any run; chain ids count up
+/// from here. Southbound messages never carry a chain id.
 pub const CHAIN_OP_BASE: u64 = 1 << 62;
-
-/// Is `op` a chain-transaction id (vs a shard-allocated operation)?
-pub fn is_chain_op(op: OpId) -> bool {
-    op.0 >= CHAIN_OP_BASE
-}
 
 /// One hop of a chain move: the MB currently holding the flow group's
 /// state at this position, and the MB that must hold it afterwards.
@@ -91,19 +76,11 @@ impl ChainSpec {
     pub fn new(pattern: HeaderFieldList, hops: Vec<ChainHop>) -> Self {
         ChainSpec { pattern, hops }
     }
-
-    /// The router conflict entries this chain occupies: one per hop,
-    /// all carrying the chain's flowspace.
-    pub(crate) fn router_entries(&self) -> Vec<(HeaderFieldList, MbId, MbId)> {
-        self.hops.iter().map(|h| (self.pattern, h.src, h.dst)).collect()
-    }
 }
 
 /// Where a chain transaction currently stands (diagnostics, tests).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChainStatus {
-    /// Admitted with cross-shard blockers; no hop has issued traffic.
-    Deferred,
     /// Hop `.0` is in flight; hops before it have completed.
     Forward(usize),
     /// A hop failed; completed hops are being compensated in reverse
@@ -114,12 +91,7 @@ pub enum ChainStatus {
 /// The phase machine of one live chain.
 #[derive(Debug, Clone)]
 pub(crate) enum ChainPhase {
-    /// Waiting for the listed cross-shard blockers to close before
-    /// hop 0 may issue. (Blocker lists are snapshots taken at
-    /// admission, so the wait-for graph only points at earlier
-    /// admissions — acyclic, hence deadlock-free.)
-    Deferred { blockers: Vec<(usize, OpId)> },
-    /// Hop `hop` is running as shard operation `op`.
+    /// Hop `hop` is running as operation `op`.
     Forward { hop: usize, op: OpId },
     /// Compensating. `undo` is the completed hop being reversed; `op`
     /// the reverse move in flight. `op: None` means waiting — for the
@@ -130,24 +102,18 @@ pub(crate) enum ChainPhase {
     Rollback { undo: usize, op: Option<OpId>, retries_left: u32, paced: bool },
 }
 
-/// One live chain transaction inside the facade. `Clone` so the whole
+/// One live chain transaction inside the core. `Clone` so the whole
 /// [`crate::controller::ControllerCore`] still journals/restores across
 /// controller crashes with chain progress intact.
 #[derive(Debug, Clone)]
 pub(crate) struct ChainRun {
     pub id: OpId,
     pub spec: ChainSpec,
-    /// The one shard every hop runs on.
-    pub shard: usize,
     pub phase: ChainPhase,
     /// Chunks moved by completed forward hops (reported on commit).
     pub chunks_moved: usize,
     /// Forward op id of every hop issued so far (index = hop).
     pub hop_ops: Vec<OpId>,
-    /// Reverse (compensation) ops issued, as `(hop, op)` — kept so the
-    /// facade can re-register any still-draining op when the chain
-    /// settles.
-    pub aux_ops: Vec<(usize, OpId)>,
     /// The error that triggered the rollback, reported with the
     /// chain's terminal `Failed` completion.
     pub error: Option<Error>,
@@ -160,7 +126,6 @@ impl ChainRun {
     /// Public phase view.
     pub fn status(&self) -> ChainStatus {
         match self.phase {
-            ChainPhase::Deferred { .. } => ChainStatus::Deferred,
             ChainPhase::Forward { hop, .. } => ChainStatus::Forward(hop),
             ChainPhase::Rollback { undo, .. } => ChainStatus::Rollback(undo),
         }

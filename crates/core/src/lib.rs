@@ -2,14 +2,13 @@
 //!
 //! The OpenMB MB controller (§5 of the paper) and its embeddings.
 //!
-//! * [`controller::ControllerCore`] — the sharded controller facade, the
-//!   one state machine both embeddings drive: northbound operations
-//!   (`readConfig`, `writeConfig`, `stats`, `moveInternal`,
-//!   `cloneSupport`, `mergeInternal`) admitted onto flowspace shards by
-//!   the [`router::ShardRouter`] conflict detector.
-//! * [`shard::ControllerShard`] — one shard's pure state machine:
-//!   Figure 5 choreography, per-key reprocess-event buffering,
-//!   quiescence-driven deletes, per-shard transfer/delete ledgers.
+//! * [`controller::ControllerCore`] — the controller state machine
+//!   both embeddings drive: northbound operations (`readConfig`,
+//!   `writeConfig`, `stats`, `moveInternal`, `cloneSupport`,
+//!   `mergeInternal`, chain moves), the Figure 5 choreography, per-key
+//!   reprocess-event buffering, quiescence-driven deletes, and the
+//!   transfer/delete ledgers.
+//! * [`chain`] — chain-wide atomic moves over ordered per-hop transfers.
 //! * [`app`] — the control-application trait and the [`app::Api`] that
 //!   unifies MB-state control with SDN routing updates and timers.
 //! * [`nodes`] — discrete-event-simulation embeddings: [`nodes::MbNode`]
@@ -24,8 +23,6 @@ pub mod chain;
 pub mod controller;
 pub mod nodes;
 pub mod placement;
-pub mod router;
-pub mod shard;
 pub mod tcp;
 
 pub use app::{Api, ApiCtx, ControlApp, NullApp};
@@ -33,5 +30,3 @@ pub use chain::{ChainHop, ChainSpec, ChainStatus, CHAIN_OP_BASE};
 pub use controller::{Action, Completion, ControllerConfig, ControllerCore};
 pub use nodes::{ControllerCosts, ControllerNode, Host, MbNode};
 pub use placement::{select_destination, PlacementCandidate};
-pub use router::{Admission, Route, ShardRouter};
-pub use shard::{ControllerShard, TransferKind};

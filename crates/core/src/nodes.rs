@@ -777,11 +777,12 @@ impl Default for ControllerCosts {
 }
 
 const TIMER_QUIESCE: u64 = 3;
-/// Timer tokens `TIMER_CTRL_WORK_BASE + s` complete the message in
-/// service on controller shard `s` — each shard is its own modeled
-/// server with its own queue and busy flag, which is where the
-/// multi-op speedup comes from in virtual time.
-const TIMER_CTRL_WORK_BASE: u64 = 16;
+/// Timer token completing the southbound message in service.
+const TIMER_CTRL_WORK: u64 = 16;
+/// Gauge holding the highest depth the controller's work queue has
+/// reached. (The name keeps the `shard0` of the health snapshot's
+/// single load entry, so exported metric keys stay stable.)
+const QUEUE_DEPTH_PEAK_GAUGE: &str = "ctrl.shard0.queue_depth_peak";
 /// App timer tokens are offset to avoid collisions.
 pub const APP_TIMER_BASE: u64 = 1 << 32;
 
@@ -796,16 +797,13 @@ pub struct ControllerNode {
     /// mb handle -> node id of the MbNode.
     mb_nodes: Vec<NodeId>,
     costs: ControllerCosts,
-    /// Per-shard message work queues: the controller models one event
-    /// loop (server) per shard, so messages for disjoint ops are
-    /// serviced concurrently in virtual time.
-    queues: Vec<VecDeque<(MbId, Message)>>,
-    busy: Vec<bool>,
-    /// Highest depth each shard queue has reached (exported as the
-    /// `ctrl.shard<N>.queue_depth_peak` gauge).
-    pub queue_depth_peak: Vec<usize>,
-    /// Gauge names, formatted once so the hot path never allocates.
-    shard_gauges: Vec<String>,
+    /// Southbound message work queue: the controller is one modeled
+    /// event loop (server), servicing one message at a time.
+    queue: VecDeque<(MbId, Message)>,
+    busy: bool,
+    /// Highest depth the work queue has reached (exported as the
+    /// [`QUEUE_DEPTH_PEAK_GAUGE`] gauge).
+    pub queue_depth_peak: usize,
     quiesce_timer_set: bool,
     started: bool,
     /// Completions delivered, with their virtual times (post-run
@@ -827,18 +825,15 @@ pub struct ControllerNode {
 impl ControllerNode {
     /// Build a controller hosting `app`.
     pub fn new(config: ControllerConfig, costs: ControllerCosts, app: Box<dyn ControlApp>) -> Self {
-        let core = ControllerCore::new(config);
-        let n = core.num_shards();
         ControllerNode {
-            core,
+            core: ControllerCore::new(config),
             topo: Topology::new(),
             app,
             mb_nodes: Vec::new(),
             costs,
-            queues: (0..n).map(|_| VecDeque::new()).collect(),
-            busy: vec![false; n],
-            queue_depth_peak: vec![0; n],
-            shard_gauges: (0..n).map(|s| format!("ctrl.shard{s}.queue_depth_peak")).collect(),
+            queue: VecDeque::new(),
+            busy: false,
+            queue_depth_peak: 0,
             quiesce_timer_set: false,
             started: false,
             completions: Vec::new(),
@@ -903,15 +898,15 @@ impl ControllerNode {
     }
 
     /// One point-in-time health capture: the core's view
-    /// ([`ControllerCore::health_snapshot`]) plus the per-shard service
-    /// queues this node models (depth, peak, busy). `violations` comes
-    /// from the harness's invariant monitor (0 when none is attached).
+    /// ([`ControllerCore::health_snapshot`]) plus the service queue
+    /// this node models (depth, peak, busy). `violations` comes from the
+    /// harness's invariant monitor (0 when none is attached).
     pub fn health_snapshot(&self, t_ns: u64, violations: u64) -> openmb_obs::HealthSnapshot {
         let mut snap = self.core.health_snapshot(t_ns, violations);
-        for (i, s) in snap.shards.iter_mut().enumerate() {
-            s.queue_depth = self.queues[i].len() as u64;
-            s.queue_depth_peak = self.queue_depth_peak[i] as u64;
-            s.busy = self.busy[i];
+        for s in &mut snap.shards {
+            s.queue_depth = self.queue.len() as u64;
+            s.queue_depth_peak = self.queue_depth_peak as u64;
+            s.busy = self.busy;
         }
         snap
     }
@@ -1000,26 +995,23 @@ impl ControllerNode {
         }
     }
 
-    /// Enqueue one southbound message onto its owning shard's queue.
+    /// Enqueue one southbound message onto the work queue.
     fn enqueue(&mut self, ctx: &mut Ctx<'_>, mb: MbId, msg: Message) {
-        let s = self.core.shard_of_message(mb, &msg);
-        self.queues[s].push_back((mb, msg));
-        if self.queues[s].len() > self.queue_depth_peak[s] {
-            self.queue_depth_peak[s] = self.queues[s].len();
+        self.queue.push_back((mb, msg));
+        if self.queue.len() > self.queue_depth_peak {
+            self.queue_depth_peak = self.queue.len();
             ctx.metrics
                 .registry_mut()
-                .set_gauge(&self.shard_gauges[s], self.queue_depth_peak[s] as f64);
+                .set_gauge(QUEUE_DEPTH_PEAK_GAUGE, self.queue_depth_peak as f64);
         }
     }
 
-    /// Start service on shard `s` if it is idle and has queued work.
-    /// Each shard is an independent modeled server: its own queue, its
-    /// own busy flag, its own completion timer.
-    fn pump_shard(&mut self, ctx: &mut Ctx<'_>, s: usize) {
-        if self.busy[s] {
+    /// Start service if the controller is idle and has queued work.
+    fn pump(&mut self, ctx: &mut Ctx<'_>) {
+        if self.busy {
             return;
         }
-        if let Some((_, msg)) = self.queues[s].front() {
+        if let Some((_, msg)) = self.queue.front() {
             let mut d = self.costs.per_message;
             match msg {
                 Message::Chunk { chunk, .. } => {
@@ -1035,14 +1027,8 @@ impl ControllerNode {
                 Message::EventMsg { .. } => d = d + self.costs.per_event,
                 _ => {}
             }
-            self.busy[s] = true;
-            ctx.set_timer(d, TIMER_CTRL_WORK_BASE + s as u64);
-        }
-    }
-
-    fn pump_all(&mut self, ctx: &mut Ctx<'_>) {
-        for s in 0..self.queues.len() {
-            self.pump_shard(ctx, s);
+            self.busy = true;
+            ctx.set_timer(d, TIMER_CTRL_WORK);
         }
     }
 
@@ -1094,9 +1080,9 @@ impl Node for ControllerNode {
                 let mb = self.mb_of(from).unwrap_or(MbId(u32::MAX));
                 // A batched frame shares one wire frame but not one
                 // work item: flatten it so each inner message is priced
-                // individually and routed to its own op's shard queue.
+                // individually.
                 msg.for_each_unbatched(|m| self.enqueue(ctx, mb, m));
-                self.pump_all(ctx);
+                self.pump(ctx);
             }
             Frame::Sdn(SdnMessage::BarrierReply { .. }) => {
                 // Barriers are currently fire-and-forget confirmations.
@@ -1113,16 +1099,14 @@ impl Node for ControllerNode {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         self.drain_unreachable(ctx);
-        if (TIMER_CTRL_WORK_BASE..TIMER_CTRL_WORK_BASE + self.queues.len() as u64).contains(&token)
-        {
-            let s = (token - TIMER_CTRL_WORK_BASE) as usize;
-            self.busy[s] = false;
-            if let Some((mb, msg)) = self.queues[s].pop_front() {
+        if token == TIMER_CTRL_WORK {
+            self.busy = false;
+            if let Some((mb, msg)) = self.queue.pop_front() {
                 let mut actions = Vec::new();
                 self.core.handle_mb_message(mb, msg, ctx.now(), &mut actions);
                 self.dispatch_actions(ctx, actions);
             }
-            self.pump_shard(ctx, s);
+            self.pump(ctx);
         } else if token == TIMER_QUIESCE {
             self.quiesce_timer_set = false;
             let mut actions = Vec::new();
@@ -1140,10 +1124,8 @@ impl Node for ControllerNode {
         // Volatile runtime dies with the process either way: queued
         // messages, the in-service ones, and every armed timer (the
         // engine discards timers addressed to a crashed node).
-        for q in &mut self.queues {
-            q.clear();
-        }
-        self.busy.iter_mut().for_each(|b| *b = false);
+        self.queue.clear();
+        self.busy = false;
         self.quiesce_timer_set = false;
         self.pending_unreachable.clear();
         self.pending_reachable.clear();
@@ -1154,13 +1136,8 @@ impl Node for ControllerNode {
                 // leaked MB-side sync windows only close when their
                 // quiescence timeouts fire). MB handles index
                 // `mb_nodes`, so the fresh core re-registers the same
-                // count to keep them valid. The shard count is pinned
-                // to the queue fan-out sized at construction — a
-                // post-construction `config.shards` mutation must not
-                // desynchronize the two.
-                let mut config = self.core.config;
-                config.shards = self.queues.len() as u32;
-                let mut fresh = ControllerCore::new(config);
+                // count to keep them valid.
+                let mut fresh = ControllerCore::new(self.core.config);
                 for _ in 0..self.mb_nodes.len() {
                     fresh.register_mb();
                 }
@@ -1179,7 +1156,7 @@ impl Node for ControllerNode {
         // in-flight operations to resume (stall detection) or abort
         // (deadline); nothing is queued yet, so pump is a no-op until
         // the next frame lands.
-        self.pump_all(ctx);
+        self.pump(ctx);
         self.arm_quiesce(ctx);
     }
 

@@ -8,10 +8,11 @@
 //!
 //! * [`serve_middlebox`] — serves any [`Middlebox`]'s southbound
 //!   protocol over a [`Transport`] (one thread per MB, like the paper).
-//! * [`TcpController`] — hosts the same [`ControllerCore`] the simulator
-//!   drives, behind one lock, with a receive thread per MB plus a tick
-//!   thread, and exposes *blocking* northbound calls
-//!   ([`TcpController::move_internal`], ...) that wait for completion.
+//! * [`TcpController`] — hosts the one controller state machine,
+//!   [`ControllerCore`] (the same core the simulator drives), behind one
+//!   lock, with a receive thread per MB plus a tick thread, and exposes
+//!   *blocking* northbound calls ([`TcpController::move_internal`], ...)
+//!   that wait for completion.
 //!
 //! The discrete-event simulator remains the measurement substrate; this
 //! embedding exists to demonstrate the protocol and controller logic are

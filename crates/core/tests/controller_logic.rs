@@ -27,7 +27,6 @@ impl<A: Middlebox, B: Middlebox> World<A, B> {
     fn new(a: A, b: B) -> Self {
         let mut core = ControllerCore::new(ControllerConfig {
             quiesce_after: SimDuration::from_millis(10),
-            compress_transfers: false,
             buffer_events: true,
             ..ControllerConfig::default()
         });

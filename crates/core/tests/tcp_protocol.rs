@@ -60,7 +60,6 @@ fn move_and_merge_over_loopback_tcp() {
 
     let mut controller = TcpController::new(ControllerConfig {
         quiesce_after: SimDuration::from_millis(50),
-        compress_transfers: false,
         buffer_events: true,
         ..ControllerConfig::default()
     });
@@ -145,7 +144,6 @@ fn mid_transfer_disconnect_resumes_from_last_acked_chunk() {
         op_deadline: SimDuration::from_secs(30),
         max_transfer_resumes: 4,
         resume_after: SimDuration::from_millis(50),
-        compress_transfers: false,
         buffer_events: true,
         // A window smaller than PUTS_BEFORE_CRASH, so the puts arrive
         // in several coalesced frames and the crash really lands
@@ -290,7 +288,6 @@ fn span_ids_propagate_across_the_wire() {
 
     let mut controller = TcpController::new(ControllerConfig {
         quiesce_after: SimDuration::from_millis(50),
-        compress_transfers: false,
         buffer_events: true,
         ..ControllerConfig::default()
     });
@@ -394,7 +391,7 @@ fn dropped_connection_aborts_with_mb_unreachable() {
 
 /// Two-sided subnet pattern (`src ∈ 10.b.x/len ∧ dst ∈ 10.b.x/len`):
 /// flowspaces of this shape for different `b` are disjoint in both
-/// directions, so the router places them independently.
+/// directions.
 fn within(b: u8, x: u8, len: u8) -> HeaderFieldList {
     let p = openmb_types::IpPrefix::new(Ipv4Addr::new(10, b, x, 0), len);
     HeaderFieldList { nw_src: p, nw_dst: p, ..HeaderFieldList::any() }
@@ -411,14 +408,12 @@ fn subnet_pkt(id: u64, b: u8, x: u8, host: u8) -> Packet {
     Packet::new(id, key, vec![0u8; 64])
 }
 
-/// The TCP embedding at two shards: two client threads move disjoint
-/// `/16` subsets at the same time, each admitted onto its own shard,
-/// and each call gets its own completion back. A third move
-/// overlapping one of them, issued while that op is still live, is
-/// pinned to its shard and completes behind it.
+/// Two client threads move disjoint `/16` subsets through one TCP
+/// controller at the same time, and each call gets its own completion
+/// back. A third move overlapping one of them, issued while that op
+/// still owes its source deletes, completes too.
 #[test]
-fn concurrent_moves_on_two_shards_over_loopback_tcp() {
-    use openmb_core::ShardRouter;
+fn concurrent_moves_over_loopback_tcp() {
     use openmb_types::{MbId, StateStats};
 
     // Flows per subset, split evenly over its `.0` and `.1` /24s. The
@@ -429,18 +424,9 @@ fn concurrent_moves_on_two_shards_over_loopback_tcp() {
     const FLOWS_A: u8 = 20;
     const FLOWS_B: u8 = 200;
 
-    // Two /16 subsets whose hash placements differ at two shards, so
-    // the concurrent moves really run on different shards. MB ids are
-    // handed out in registration order: the source is 0, the
-    // destination 1.
-    let router = ShardRouter::new(2);
-    let (sa, sb) = (0u8..8)
-        .flat_map(|a| (0u8..8).map(move |b| (a, b)))
-        .find(|&(a, b)| {
-            router.hash_shard(&within(a, 0, 16), MbId(0), MbId(1))
-                != router.hash_shard(&within(b, 0, 16), MbId(0), MbId(1))
-        })
-        .expect("some pair of /16 subsets hashes onto different shards");
+    // Two disjoint /16 subsets. MB ids are handed out in registration
+    // order: the source is 0, the destination 1.
+    let (sa, sb) = (0u8, 1u8);
 
     let stop = Arc::new(AtomicBool::new(false));
     let mut mb_ends = Vec::new();
@@ -469,13 +455,10 @@ fn concurrent_moves_on_two_shards_over_loopback_tcp() {
     }
 
     let mut controller = TcpController::new(ControllerConfig {
-        shards: 2,
         // Long enough that the first move's source deletes are still
-        // owed when the overlapping move is admitted: its op stays live
-        // in the router's conflict table.
+        // owed when the overlapping move is admitted, however slowly
+        // the test threads are scheduled.
         quiesce_after: SimDuration::from_secs(5),
-        compress_transfers: false,
-        buffer_events: true,
         ..ControllerConfig::default()
     });
     let src = controller.register_mb(Arc::new(TcpTransport::connect(mb_ends[0]).unwrap()));
@@ -521,10 +504,8 @@ fn concurrent_moves_on_two_shards_over_loopback_tcp() {
         (first.join().unwrap(), second.join().unwrap())
     });
 
-    // Op ids carry their shard as a residue class: `(id - 1) % 2`.
-    let shard = |op: openmb_types::OpId| (op.0 - 1) % 2;
-    assert_ne!(shard(op_a), shard(op_b), "disjoint moves must run on different shards");
-    assert_eq!(shard(op_c), shard(op_a), "the overlapping move must join the live op's shard");
+    // Three distinct ops, each answered to its own caller.
+    assert!(op_a != op_b && op_b != op_c && op_a != op_c, "{op_a:?} {op_b:?} {op_c:?}");
 
     // The destination holds exactly what the source held before.
     for (b, want) in [sa, sb].into_iter().zip(&before) {

@@ -321,7 +321,6 @@ fn drive<M: Middlebox + 'static>(
     // oracle every seed must satisfy.
     let monitor =
         std::sync::Arc::new(openmb_simnet::obs::Monitor::new(openmb_simnet::obs::MonitorConfig {
-            shards: 1,
             transfer_window: CONF_WINDOW,
             ..Default::default()
         }));

@@ -172,7 +172,7 @@ pub fn generate_chain(seed: u64) -> ChainSchedule {
         if rng.chance(15) {
             // Controller crash mid-chain: the journal must restore the
             // chain's phase machine (which hop is live, which hops owe
-            // compensation), not just the shard ledgers.
+            // compensation), not just the per-op ledgers.
             let at = OP_AT_MS + 5 + rng.below(900);
             let restart = at + 10 + rng.below(70);
             plan = plan.crash_restart(CONTROLLER, ms(at), ms(restart));
@@ -265,7 +265,6 @@ fn drive_chain<M: Middlebox + 'static>(
     // per-hop windowing (I1), delete-after-terminal (I2), and the
     // rollback ordering rule (I3) all ride the span stream.
     let monitor = Arc::new(openmb_simnet::obs::Monitor::new(openmb_simnet::obs::MonitorConfig {
-        shards: conc_config().shards,
         transfer_window: CONF_WINDOW,
         ..Default::default()
     }));

@@ -1,7 +1,6 @@
-//! Concurrent-operation conformance over the sharded controller
-//! (DESIGN.md §14): K ≥ 3 disjoint transfers launched in the same
-//! instant against one controller running 4 shards, under randomized
-//! fault schedules, with three invariant families:
+//! Concurrent-operation conformance: K ≥ 3 disjoint transfers
+//! launched in the same instant against one controller core, under
+//! randomized fault schedules, with three invariant families:
 //!
 //! * **per-op isolation** — a completed op leaves its pair's endpoints
 //!   byte-identical to a *solo* run of the same op (alone on the
@@ -9,20 +8,16 @@
 //!   the pristine pre-op images. Concurrency must be unobservable in
 //!   the per-op result.
 //! * **bookkeeping** — the controller drains (`open_ops == 0`) and no
-//!   op's transfer ledger ever exceeded its window, shard concurrency
-//!   notwithstanding.
+//!   op's transfer ledger ever exceeded its window, however many ops
+//!   the schedule interleaved.
 //! * **replay** — the same seed re-runs to a byte-identical fault log,
-//!   timeline, and outcome: the multi-stream shard scheduling stays
-//!   deterministic.
+//!   timeline, and outcome.
 //!
-//! The suite also asserts the runs genuinely exercise cross-shard
-//! concurrency: disjoint pairs must place on ≥ 2 distinct shards
-//! (with the layout's MB pairs and a wildcard flowspace the hash in
-//! fact spreads K = 4 pairs over all 4 shards), so a routing
-//! regression that serializes everything onto one shard fails loudly
-//! here rather than only in the bench gate.
+//! Every run uses the controller's default configuration with the
+//! conformance tunables of the single-op suite (transfer window,
+//! deadline, resume budget), so concurrent ops are checked on the same
+//! core every embedding runs.
 
-use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 use std::sync::{Arc, Mutex};
 
@@ -38,9 +33,6 @@ use openmb_types::{HeaderFieldList, MbId, OpId, StateStats};
 use crate::conformance::{
     canonical_shared, ms, preload, ConfOp, Rng, ALL_OPS, CONF_WINDOW, OP_AT_MS, PRELOAD,
 };
-
-/// Shard count every concurrent run uses.
-const SHARDS: u32 = 4;
 
 /// Middlebox type all pairs in one run use — a subset of the single-op
 /// matrix with distinct state shapes (per-flow only; per-flow + policy
@@ -97,7 +89,7 @@ pub fn generate_concurrent(seed: u64) -> ConcSchedule {
 
     if harsh {
         // Storm every link at once: several ops exhaust their resumes
-        // together and their rollbacks must not cross shards.
+        // together and their rollbacks must not cross pairs.
         for pd in &dirs {
             for &(a, b) in pd {
                 let p = 0.75 + rng.f64() * 0.20;
@@ -159,7 +151,7 @@ pub fn generate_concurrent(seed: u64) -> ConcSchedule {
         }
         if rng.chance(15) {
             // Controller crash with several ops in flight: the journal
-            // must restore every shard's ledgers, not just one op's.
+            // must restore every op's ledgers, not just one op's.
             let at = OP_AT_MS + 5 + rng.below(500);
             let restart = at + 10 + rng.below(70);
             plan = plan.crash_restart(CONTROLLER, ms(at), ms(restart));
@@ -188,13 +180,10 @@ pub struct PairObserved {
 pub struct ConcObserved {
     pub pairs: Vec<PairObserved>,
     pub open_ops: usize,
-    /// Shard each op was placed on, in pair order.
-    pub shards: Vec<usize>,
     pub fault_log: String,
     pub timeline: String,
-    /// Rendered invariant-monitor violations — the online oracle runs
-    /// with the sharded config (residue + deferred-silence checks
-    /// active) and must stay empty for every seed.
+    /// Rendered invariant-monitor violations — the online oracle must
+    /// stay empty for every seed.
     pub violations: Vec<String>,
 }
 
@@ -228,8 +217,6 @@ impl ControlApp for ConcurrentOps {
 
 pub(crate) fn conc_config() -> ControllerConfig {
     ControllerConfig {
-        shards: SHARDS,
-        compress_transfers: false,
         op_deadline: SimDuration::from_secs(4),
         max_transfer_resumes: 8,
         resume_after: SimDuration::from_millis(150),
@@ -267,11 +254,9 @@ fn drive_conc<M: Middlebox + 'static>(
         Box::new(app),
         ScenarioParams::default(),
     );
-    // The invariant monitor rides the span stream with the sharded
-    // config: I5 (residue routing) and I4 (deferred silence) are live
-    // here, not just the single-shard rules.
+    // The invariant monitor rides the span stream as an always-on
+    // oracle.
     let monitor = Arc::new(openmb_simnet::obs::Monitor::new(openmb_simnet::obs::MonitorConfig {
-        shards: SHARDS,
         transfer_window: CONF_WINDOW,
         ..Default::default()
     }));
@@ -319,9 +304,8 @@ fn drive_conc<M: Middlebox + 'static>(
 
     let timeline = setup.sim.recorder().dump().to_string();
     let fault_log = format!("{:?}", setup.sim.fault_log());
-    let (open_ops, shards, outcomes) = {
+    let (open_ops, outcomes) = {
         let ctrl: &ControllerNode = setup.sim.node_as(CONTROLLER);
-        let shards: Vec<usize> = ids.iter().map(|&op| ctrl.core.shard_of_op(op)).collect();
         let outcomes: Vec<(bool, bool)> = ids
             .iter()
             .map(|&op| {
@@ -336,7 +320,7 @@ fn drive_conc<M: Middlebox + 'static>(
                     .iter()
                     .any(|(_, c)| matches!(c, Completion::Failed { op: o, .. } if *o == op));
                 // Windowing holds per op no matter how many ops the
-                // schedule interleaved across shards.
+                // schedule interleaved.
                 let stats = ctrl.core.transfer_ledger_stats(op);
                 assert!(
                     stats.in_flight_peak <= CONF_WINDOW as usize,
@@ -347,7 +331,7 @@ fn drive_conc<M: Middlebox + 'static>(
                 (completed, failed)
             })
             .collect();
-        (ctrl.core.open_ops(), shards, outcomes)
+        (ctrl.core.open_ops(), outcomes)
     };
 
     let mut pairs = Vec::with_capacity(ops.len());
@@ -378,7 +362,6 @@ fn drive_conc<M: Middlebox + 'static>(
     ConcObserved {
         pairs,
         open_ops,
-        shards,
         fault_log,
         timeline,
         violations: monitor.violations().iter().map(|v| v.to_string()).collect(),
@@ -399,8 +382,7 @@ pub fn run_concurrent(s: &ConcSchedule, faulted: bool) -> ConcObserved {
 }
 
 /// The solo reference for one op kind: the same op, same MB type, same
-/// preload, alone on an otherwise idle (still sharded) controller,
-/// unfaulted.
+/// preload, alone on an otherwise idle controller, unfaulted.
 fn solo_reference(mb: ConcMb, op: ConfOp) -> PairObserved {
     let o = mk_conc_mb(mb, &[op], None);
     assert!(
@@ -447,7 +429,6 @@ pub struct ConcOutcome {
     pub harsh: bool,
     pub completed: usize,
     pub failed: usize,
-    pub shards_used: usize,
 }
 
 /// Run one concurrent seed end-to-end and assert every invariant,
@@ -478,15 +459,6 @@ pub fn check_concurrent_seed(seed: u64) -> ConcOutcome {
         "seed {seed}: concurrent bookkeeping leaked — {}",
         replay_command(seed)
     );
-    let distinct: BTreeSet<usize> = o.shards.iter().copied().collect();
-    assert!(
-        distinct.len() >= 2,
-        "seed {seed}: {} disjoint ops all routed to one shard ({:?}) — {}",
-        s.pairs,
-        o.shards,
-        replay_command(seed)
-    );
-
     let (init_src_entries, init_src_shared, init_dst_shared) = initial_pair(s.mb);
     let mut completed = 0;
     let mut failed = 0;
@@ -532,15 +504,7 @@ pub fn check_concurrent_seed(seed: u64) -> ConcOutcome {
             );
         }
     }
-    ConcOutcome {
-        seed,
-        pairs: s.pairs,
-        mb: s.mb,
-        harsh: s.harsh,
-        completed,
-        failed,
-        shards_used: distinct.len(),
-    }
+    ConcOutcome { seed, pairs: s.pairs, mb: s.mb, harsh: s.harsh, completed, failed }
 }
 
 #[cfg(test)]
@@ -556,28 +520,22 @@ mod tests {
         }
     }
 
-    /// Deterministic spread: 4 unfaulted moves over disjoint pairs land
-    /// on 4 distinct shards and all complete. A hash or router
-    /// regression that serializes them fails here, not just in the
-    /// bench gate.
+    /// 4 unfaulted moves over disjoint pairs, issued in one instant,
+    /// all complete and the controller drains.
     #[test]
-    fn four_disjoint_moves_span_four_shards() {
+    fn four_disjoint_moves_all_complete() {
         let ops = [ConfOp::Move, ConfOp::Move, ConfOp::Move, ConfOp::Move];
         let o = mk_conc_mb(ConcMb::Monitor, &ops, None);
         assert_eq!(o.open_ops, 0);
-        let distinct: BTreeSet<usize> = o.shards.iter().copied().collect();
-        assert_eq!(distinct.len(), 4, "placements: {:?}", o.shards);
         for (i, p) in o.pairs.iter().enumerate() {
             assert!(p.completed && !p.failed, "pair {i} must complete: {p:?}");
             assert!(p.dst_entries > 0, "pair {i} moved nothing");
         }
     }
 
-    /// Bridging op (DESIGN.md §14): a wildcard clone whose endpoints
-    /// touch two disjoint live moves placed on *different* shards must
-    /// defer — no southbound traffic until both moves close — then run
-    /// pinned to the earliest conflicting shard. All three ops
-    /// complete, and the whole schedule replays byte-identically.
+    /// Bridging op: a wildcard clone whose endpoints touch two
+    /// disjoint live moves runs alongside both. All three ops complete,
+    /// and the whole schedule replays byte-identically.
     #[test]
     fn bridging_clone_between_two_disjoint_moves() {
         use multi_layout::*;
@@ -602,7 +560,7 @@ mod tests {
             }
         }
 
-        fn run() -> (Vec<usize>, Vec<bool>, usize, String) {
+        fn run() -> (Vec<bool>, usize, String) {
             let issued = Arc::new(Mutex::new(Vec::new()));
             let mut setup = multi_pair_scenario(
                 |_| {
@@ -615,13 +573,8 @@ mod tests {
                 Box::new(BridgeApp { issued: Arc::clone(&issued) }),
                 ScenarioParams::default(),
             );
-            // This schedule is I4's canonical case: the bridging clone
-            // parks on a cross-shard conflict and must stay silent
-            // until released — the online monitor proves it from the
-            // span stream alone.
             let imon =
                 Arc::new(openmb_simnet::obs::Monitor::new(openmb_simnet::obs::MonitorConfig {
-                    shards: SHARDS,
                     transfer_window: CONF_WINDOW,
                     ..Default::default()
                 }));
@@ -636,7 +589,6 @@ mod tests {
             assert_eq!(ids.len(), 3, "two moves plus the bridging clone");
             let timeline = setup.sim.recorder().dump().to_string();
             let ctrl: &ControllerNode = setup.sim.node_as(CONTROLLER);
-            let shards: Vec<usize> = ids.iter().map(|&op| ctrl.core.shard_of_op(op)).collect();
             let completed: Vec<bool> = ids
                 .iter()
                 .map(|&op| {
@@ -647,28 +599,20 @@ mod tests {
                     })
                 })
                 .collect();
-            (shards, completed, ctrl.core.open_ops(), timeline)
+            (completed, ctrl.core.open_ops(), timeline)
         }
 
         let a = run();
-        let (shards, completed, open_ops, _) = &a;
+        let (completed, open_ops, _) = &a;
         assert_eq!(*open_ops, 0, "bookkeeping leaked");
         assert!(completed.iter().all(|&c| c), "all three ops must complete: {completed:?}");
-        assert_ne!(
-            shards[0], shards[1],
-            "the moves must place on distinct shards for the clone to bridge: {shards:?}"
-        );
-        assert_eq!(
-            shards[2], shards[0],
-            "bridging clone must pin to the earliest conflicting shard: {shards:?}"
-        );
 
         let b = run();
         assert_eq!(a, b, "bridging schedule replay diverged");
     }
 
     /// Same seed, byte-identical fault log, timeline, and outcome — the
-    /// replay contract holds under multi-stream shard scheduling.
+    /// replay contract holds with several ops in flight.
     #[test]
     fn concurrent_replay_is_byte_identical() {
         for seed in [2, 11] {
@@ -710,9 +654,6 @@ mod tests {
             s.plan.crashes.len(),
         );
         let o = check_concurrent_seed(seed);
-        eprintln!(
-            "seed {seed} passed ({} completed, {} failed, {} shards used)",
-            o.completed, o.failed, o.shards_used
-        );
+        eprintln!("seed {seed} passed ({} completed, {} failed)", o.completed, o.failed);
     }
 }

@@ -18,7 +18,7 @@ use openmb_core::nodes::ControllerNode;
 use openmb_middleboxes::Monitor;
 use openmb_simnet::obs::{
     export_chain_phases, export_op_phases, percentile, HealthSnapshot, Monitor as InvariantMonitor,
-    MonitorConfig, Recorder, Registry, SpanEvent,
+    MonitorConfig, Recorder, SpanEvent,
 };
 use openmb_simnet::{Frame, SimDuration, SimTime};
 use openmb_types::{HeaderFieldList, Packet};
@@ -72,7 +72,6 @@ pub fn export_scale_up() -> ExportedRun {
     // (including ones later evicted from the ring) live, so its
     // verdicts and phase attribution are wraparound-proof.
     let monitor = Arc::new(InvariantMonitor::new(MonitorConfig {
-        shards: 1,
         transfer_window: window,
         ..MonitorConfig::default()
     }));
@@ -107,26 +106,11 @@ pub fn export_scale_up() -> ExportedRun {
     let end_ms = setup.sim.now().as_secs_f64() * 1e3;
     let dump = setup.sim.recorder().dump();
 
-    // Phase attribution: feed each shard's ops into its own registry
-    // and fold them into the run registry with `absorb_all` — the same
-    // merge path a sharded embedding uses for its per-shard registries.
+    // Phase attribution, straight into the run registry.
     let op_phases = monitor.op_phases();
-    let mut shard_regs: Vec<(Option<u32>, Registry)> = Vec::new();
-    for p in &op_phases {
-        let reg = match shard_regs.iter_mut().find(|(s, _)| *s == p.shard) {
-            Some((_, reg)) => reg,
-            None => {
-                shard_regs.push((p.shard, Registry::new()));
-                &mut shard_regs.last_mut().expect("just pushed").1
-            }
-        };
-        export_op_phases(reg, std::slice::from_ref(p));
-    }
     {
         let reg = setup.sim.metrics.registry_mut();
-        for (_, shard_reg) in &shard_regs {
-            reg.absorb_all(shard_reg);
-        }
+        export_op_phases(reg, &op_phases);
         export_chain_phases(reg, &monitor.chain_phases());
         // Percentile summaries over the aggregate phase histograms.
         for key in ["phase.admit_ms", "phase.transfer_ms", "phase.total_ms"] {

@@ -87,15 +87,14 @@ pub fn op_timeline(dump: &RecorderDump, op: u64) -> Table {
         })
         .collect();
     // The dump is in *recording* order, which is only time-ordered per
-    // recording thread: a recorder shared across nodes (TCP loopback)
-    // or across controller shards interleaves out of order. Re-sort by
-    // (time, op-level before sub-level, sub id, op id); sub and op ids
-    // are allocated from per-shard residue streams, so the id keys
-    // deterministically break same-instant ties *across shards* —
-    // without them, two sub-ops stamped in the same instant on
-    // different shards would keep their (thread-racy) recording order
-    // and replays at shards>1 could render differently. The sort is
-    // stable, so fully-identical keys keep recording order.
+    // recording thread: a recorder shared across nodes (TCP loopback,
+    // one serve thread per MB) interleaves out of order. Re-sort by
+    // (time, op-level before sub-level, sub id, op id): the id keys
+    // deterministically break same-instant ties *across threads* —
+    // without them, two sub-ops stamped in the same instant by
+    // different MB threads would keep their (racy) recording order and
+    // the same run could render differently. The sort is stable, so
+    // fully-identical keys keep recording order.
     selected.sort_by_key(|e| (e.t_ns, e.op.is_none(), e.sub.unwrap_or(0), e.op.unwrap_or(0)));
 
     let mut nodes: Vec<&str> = Vec::new();
@@ -277,7 +276,7 @@ mod tests {
     }
 
     #[test]
-    fn op_timeline_breaks_same_instant_cross_shard_ties_by_id() {
+    fn op_timeline_breaks_same_instant_cross_thread_ties_by_id() {
         use openmb_simnet::obs::{SpanEvent, TimelineEvent};
         let ev = |t_ns, node: &str, op, sub, event| TimelineEvent {
             t_ns,
@@ -286,11 +285,10 @@ mod tests {
             sub,
             event,
         };
-        // Two sub-ops of op 8 stamped in the *same instant* on MBs
-        // driven by different shards (sub ids 12 and 13 come from
-        // different residue streams). With threaded shards the
-        // recording order of the pair races; the rendered table must
-        // not depend on it, so build the same dump in both interleavings.
+        // Two sub-ops of op 8 stamped in the *same instant* by two MBs
+        // served from different threads: the recording order of the
+        // pair races; the rendered table must not depend on it, so
+        // build the same dump in both interleavings.
         let mk = |swapped: bool| {
             let mut pair = vec![
                 ev(2_000_000, "mb:a", None, Some(12), SpanEvent::Handled { msg: "put" }),
@@ -309,7 +307,7 @@ mod tests {
         };
         let a = op_timeline(&mk(false), 8).to_string();
         let b = op_timeline(&mk(true), 8).to_string();
-        assert_eq!(a, b, "timeline must be byte-identical whichever shard recorded first");
+        assert_eq!(a, b, "timeline must be byte-identical whichever thread recorded first");
         // And the tie resolves by sub id, not recording order.
         let t = op_timeline(&mk(true), 8);
         assert_eq!(t.rows[3][1], "12", "{t}");

@@ -35,6 +35,8 @@ use openmb_types::{
     OpId, Packet, Proto, Result, StateChunk, StateStats,
 };
 
+use crate::HTTP_LINE_CAP;
+
 /// Bro-style connection states used in `conn.log`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConnState {
@@ -84,11 +86,6 @@ impl ConnState {
         }
     }
 }
-
-/// Most bytes of an unterminated request line the HTTP analyzer buffers
-/// per flow. Past it the line is dropped, so a flow that never ends a
-/// line cannot grow its state or its per-packet scan cost.
-const HTTP_LINE_CAP: usize = 4096;
 
 /// Most completed request lines the HTTP analyzer keeps per flow, the
 /// latest ones. Every line is logged when it completes, so a keep-alive

@@ -23,6 +23,12 @@
 //! * [`dummy::DummyMb`] — trace-replay MB for the §8.3 controller
 //!   scalability experiments.
 
+/// Most bytes of an unterminated HTTP request line an MB buffers per
+/// flow (the IPS's HTTP analyzer, the proxy's request parser). Past it
+/// the line is dropped, so a flow that never ends a line cannot grow its
+/// state or its per-packet scan cost.
+pub(crate) const HTTP_LINE_CAP: usize = 4096;
+
 pub mod dummy;
 pub mod firewall;
 pub mod ips;

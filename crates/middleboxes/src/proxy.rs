@@ -26,6 +26,8 @@ use openmb_types::{
     OpId, Packet, Result, StateChunk, StateStats,
 };
 
+use crate::HTTP_LINE_CAP;
+
 /// One cached object.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheObject {
@@ -38,7 +40,8 @@ pub struct CacheObject {
 /// Per-connection request-parsing state.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ConnState {
-    /// Bytes of a request line split across packets.
+    /// Bytes of a request line split across packets (at most
+    /// [`HTTP_LINE_CAP`]).
     pub partial: Vec<u8>,
     pub requests: u64,
 }
@@ -65,7 +68,14 @@ impl ConnState {
         let proto = openmb_types::Proto::from_number(r.u8()?)
             .ok_or_else(|| Error::MalformedChunk("bad proto in proxy state".into()))?;
         let key = FlowKey { src_ip, dst_ip, src_port, dst_port, proto };
-        Ok((key, ConnState { partial: r.bytes()?, requests: r.u64()? }))
+        let partial = r.bytes()?;
+        if partial.len() > HTTP_LINE_CAP {
+            return Err(Error::MalformedChunk(format!(
+                "proxy request line of {} B exceeds the {HTTP_LINE_CAP} B cap",
+                partial.len()
+            )));
+        }
+        Ok((key, ConnState { partial, requests: r.u64()? }))
     }
 }
 
@@ -375,13 +385,28 @@ impl Middlebox for Proxy {
         // shared cache.
         let mut urls = Vec::new();
         if is_orig && !pkt.payload.is_empty() {
+            // Bytes already buffered were scanned on earlier packets and
+            // hold no CRLF, so only one straddling their end can start
+            // before the new bytes: scan those plus a one-byte overlap.
+            let mut from = conn.partial.len().saturating_sub(1);
             conn.partial.extend_from_slice(&pkt.payload);
-            while let Some(pos) = conn.partial.windows(2).position(|w| w == b"\r\n") {
-                let line: Vec<u8> = conn.partial.drain(..pos + 2).collect();
-                if let Some(url) = parse_get(&line[..line.len() - 2]) {
+            let mut line_start = 0;
+            while let Some(pos) = conn.partial[from..].windows(2).position(|w| w == b"\r\n") {
+                let end = from + pos;
+                if let Some(url) = parse_get(&conn.partial[line_start..end]) {
                     conn.requests += 1;
                     urls.push(url);
                 }
+                line_start = end + 2;
+                from = line_start;
+            }
+            conn.partial.drain(..line_start);
+            if conn.partial.len() > HTTP_LINE_CAP {
+                // An overlong line is dropped, keeping only a trailing
+                // `\r` that may be the head of a CRLF split across
+                // packets.
+                let keep = usize::from(conn.partial.ends_with(b"\r"));
+                conn.partial.drain(..conn.partial.len() - keep);
             }
         }
         for url in urls {
@@ -468,6 +493,68 @@ mod tests {
         p.process_packet(SimTime(1), &Packet::new(2, key, b" HTTP/1.1\r\n".to_vec()), &mut fx);
         assert_eq!(p.requests, 1);
         assert!(p.cache_sorted().iter().any(|o| o.url == "/split"));
+    }
+
+    fn conn_key(sp: u16) -> FlowKey {
+        FlowKey::tcp(Ipv4Addr::new(10, 0, 0, 1), sp, Ipv4Addr::new(93, 184, 216, 34), 80)
+    }
+
+    /// Feed `chunks` as consecutive packets of one flow; returns the
+    /// flow's buffered partial line.
+    fn feed(p: &mut Proxy, sp: u16, chunks: &[&[u8]]) -> Vec<u8> {
+        let key = conn_key(sp);
+        let mut fx = Effects::normal();
+        for (i, c) in chunks.iter().enumerate() {
+            p.process_packet(SimTime(i as u64), &Packet::new(i as u64, key, c.to_vec()), &mut fx);
+        }
+        p.conns[&key].partial.clone()
+    }
+
+    #[test]
+    fn unterminated_line_stays_bounded() {
+        let mut p = Proxy::new(16);
+        let key = conn_key(3000);
+        let mut fx = Effects::normal();
+        for i in 0..10_000u64 {
+            p.process_packet(SimTime(i), &Packet::new(i, key, vec![b'a'; 64]), &mut fx);
+            assert!(p.conns[&key].partial.len() <= HTTP_LINE_CAP, "packet {i}");
+        }
+        assert_eq!(p.requests, 0);
+        let bytes = p.stats(&HeaderFieldList::any()).perflow_support_bytes;
+        assert!(bytes < HTTP_LINE_CAP + 512, "per-flow state grew to {bytes} B");
+    }
+
+    #[test]
+    fn request_split_with_its_crlf_is_parsed_once() {
+        let mut p = Proxy::new(16);
+        let left = feed(&mut p, 3100, &[b"GET /sp", b"lit HTTP/1.1\r", b"\nGET /b HTTP/1.1\r\n"]);
+        assert!(left.is_empty(), "{left:?}");
+        assert_eq!(p.requests, 2);
+        assert_eq!(p.misses, 2);
+        let urls: Vec<String> = p.cache_sorted().into_iter().map(|o| o.url).collect();
+        assert_eq!(urls, ["/b", "/split"]);
+    }
+
+    #[test]
+    fn crlf_straddling_the_cap_is_still_found() {
+        // Fill to the cap, then split a CRLF across two packets: the
+        // overlong line is dropped but its `\r` survives, so the `\n`
+        // ends it and the next request starts on a clean line.
+        let filler = vec![b'x'; HTTP_LINE_CAP];
+        let mut p = Proxy::new(16);
+        assert!(feed(&mut p, 3200, &[&filler, b"\r", b"\n"]).is_empty());
+        assert!(feed(&mut p, 3200, &[b"GET /next HTTP/1.1\r\n"]).is_empty());
+        assert_eq!(p.requests, 1);
+        assert!(p.cache_sorted().iter().any(|o| o.url == "/next"));
+    }
+
+    #[test]
+    fn import_rejects_an_overlong_partial_line() {
+        let key = conn_key(3300);
+        let ok = ConnState { partial: vec![b'x'; HTTP_LINE_CAP], requests: 0 };
+        assert!(ConnState::deserialize(&ok.serialize(&key)).is_ok());
+        let long = ConnState { partial: vec![b'x'; HTTP_LINE_CAP + 1], requests: 0 };
+        assert!(ConnState::deserialize(&long.serialize(&key)).is_err());
     }
 
     #[test]

@@ -1,27 +1,31 @@
 //! Periodic health snapshots: one struct capturing, at an instant,
-//! everything an operator would page on — per-shard load, deferred
-//! ops, open chains, the transfer ledger, and the invariant monitor's
-//! violation count — renderable as a text dashboard and as JSON.
+//! everything an operator would page on — controller load, open
+//! chains, the transfer ledger, and the invariant monitor's violation
+//! count — renderable as a text dashboard and as JSON.
 //!
 //! This crate sits below `openmb-core`, so the snapshot is a plain
-//! data carrier: the controller embeddings (which know shard queues
-//! and ledger internals) populate it, `metrics_export` serializes it.
+//! data carrier: the controller embeddings (which know their service
+//! queue and ledger internals) populate it, `metrics_export`
+//! serializes it.
 
 use std::fmt::Write as _;
 
-/// Per-shard load at snapshot time.
+/// Controller load at snapshot time. The controller is one core, so a
+/// snapshot carries exactly one entry (`shard` 0); the list shape and
+/// the always-zero `deferred_ops` keep the exported keys stable for
+/// dashboards that read them.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardHealth {
     pub shard: u32,
-    /// Live (non-quiesced) operations owned by the shard.
+    /// Live (non-quiesced) operations.
     pub open_ops: u64,
-    /// Ops parked on cross-shard conflicts, awaiting release.
+    /// Always 0: the controller never defers an admission.
     pub deferred_ops: u64,
-    /// Southbound messages queued on the shard's event loop.
+    /// Southbound messages queued on the controller's event loop.
     pub queue_depth: u64,
-    /// Highest queue depth the shard has reached.
+    /// Highest queue depth the event loop has reached.
     pub queue_depth_peak: u64,
-    /// Whether the shard's modeled server is mid-service.
+    /// Whether the controller's modeled server is mid-service.
     pub busy: bool,
 }
 

@@ -80,55 +80,6 @@ impl Histogram {
             (*b, acc)
         })
     }
-
-    /// Merge another histogram's observations into this one.
-    ///
-    /// Identical bounds merge exactly (bucket-wise add). Differing
-    /// bounds merge over the *union* of bounds: each source bucket's
-    /// count lands in the union bucket with the same upper bound, the
-    /// tightest bucket certain to contain every observation it held.
-    /// Where one side's bounds subdivide the other's, the merged
-    /// cumulative count at the finer bound is therefore a lower bound
-    /// and quantile estimates err high — conservative, never
-    /// optimistic. Sum/count/min/max merge exactly either way.
-    fn merge_from(&mut self, other: &Histogram) {
-        if self.bounds == other.bounds {
-            for (c, oc) in self.counts.iter_mut().zip(&other.counts) {
-                *c += oc;
-            }
-        } else {
-            let mut bounds: Vec<f64> =
-                self.bounds.iter().chain(other.bounds.iter()).copied().collect();
-            bounds.sort_by(f64::total_cmp);
-            bounds.dedup();
-            let mut counts = vec![0u64; bounds.len() + 1];
-            for (src_bounds, src_counts) in
-                [(&self.bounds, &self.counts), (&other.bounds, &other.counts)]
-            {
-                for (i, c) in src_counts.iter().enumerate() {
-                    if *c == 0 {
-                        continue;
-                    }
-                    let idx = match src_bounds.get(i) {
-                        // Exact-bound match is guaranteed: the union
-                        // contains every source bound.
-                        Some(b) => bounds.iter().position(|x| x == b).unwrap(),
-                        // Overflow stays overflow.
-                        None => bounds.len(),
-                    };
-                    counts[idx] += c;
-                }
-            }
-            self.bounds = bounds;
-            self.counts = counts;
-        }
-        self.sum += other.sum;
-        self.count += other.count;
-        if other.count > 0 {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-    }
 }
 
 /// Counters, gauges, and histograms under string names.
@@ -209,31 +160,10 @@ impl Registry {
     }
 
     /// Merge another registry's counters into this one (counters add;
-    /// gauges and histograms are untouched — use [`Registry::absorb_all`]
-    /// to merge everything).
+    /// gauges and histograms are untouched).
     pub fn absorb_counters(&mut self, other: &Registry) {
         for (k, v) in other.counters() {
             self.incr(k, v);
-        }
-    }
-
-    /// Merge everything from another registry: counters add, gauges
-    /// overwrite (last writer wins — per-shard aggregation names
-    /// shard-scoped gauges so nothing collides), and same-name
-    /// histograms merge observation-wise (see [`Histogram`]'s merge
-    /// semantics for differing bounds).
-    pub fn absorb_all(&mut self, other: &Registry) {
-        self.absorb_counters(other);
-        for (k, v) in other.gauges() {
-            self.set_gauge(k, v);
-        }
-        for (k, h) in &other.histograms {
-            match self.histograms.get_mut(k) {
-                Some(mine) => mine.merge_from(h),
-                None => {
-                    self.histograms.insert(k.clone(), h.clone());
-                }
-            }
         }
     }
 
@@ -428,53 +358,5 @@ mod tests {
         a.absorb_counters(&b);
         assert_eq!(a.counter("x"), 3);
         assert_eq!(a.counter("y"), 5);
-    }
-
-    #[test]
-    fn absorb_all_merges_gauges_and_identical_histograms() {
-        let mut a = Registry::new();
-        a.incr("x", 1);
-        a.set_gauge("g", 1.0);
-        a.observe_with_bounds("h", 0.5, &[1.0, 10.0]);
-        let mut b = Registry::new();
-        b.incr("x", 2);
-        b.set_gauge("g", 7.0);
-        b.set_gauge("only_b", 3.0);
-        b.observe_with_bounds("h", 5.0, &[1.0, 10.0]);
-        b.observe_with_bounds("h2", 2.0, &[1.0]);
-        a.absorb_all(&b);
-        assert_eq!(a.counter("x"), 3);
-        assert_eq!(a.gauge("g"), Some(7.0), "gauges overwrite");
-        assert_eq!(a.gauge("only_b"), Some(3.0));
-        let h = a.histogram("h").unwrap();
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.sum(), 5.5);
-        assert_eq!(h.min(), Some(0.5));
-        assert_eq!(h.max(), Some(5.0));
-        assert_eq!(h.cumulative().collect::<Vec<_>>(), vec![(1.0, 1), (10.0, 2)]);
-        assert_eq!(a.histogram("h2").unwrap().count(), 1, "missing histograms copy over");
-    }
-
-    #[test]
-    fn absorb_all_merges_overlapping_bounds_conservatively() {
-        // a: bounds [10]; b: bounds [5, 10] — b subdivides a's first
-        // bucket. The union is [5, 10]; a's (≤10) observations may not
-        // be attributed below 10, so they land in the le=10 bucket.
-        let mut a = Registry::new();
-        a.observe_with_bounds("h", 3.0, &[10.0]);
-        a.observe_with_bounds("h", 12.0, &[10.0]); // overflow
-        let mut b = Registry::new();
-        b.observe_with_bounds("h", 4.0, &[5.0, 10.0]);
-        b.observe_with_bounds("h", 7.0, &[5.0, 10.0]);
-        a.absorb_all(&b);
-        let h = a.histogram("h").unwrap();
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.sum(), 26.0);
-        assert_eq!(h.min(), Some(3.0));
-        assert_eq!(h.max(), Some(12.0));
-        // Cumulative at 5: only b's 4.0 is *provably* ≤5 (a's 3.0 is
-        // smeared into the ≤10 bucket — the merge is conservative).
-        // Cumulative at 10 is exact: everything but the overflow.
-        assert_eq!(h.cumulative().collect::<Vec<_>>(), vec![(5.0, 1), (10.0, 3)]);
     }
 }

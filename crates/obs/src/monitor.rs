@@ -1,5 +1,5 @@
 //! Online invariant monitor: a live [`ObsSink`] that replays the
-//! protocol rules from DESIGN §10/§14/§15 against the span stream as
+//! protocol rules from DESIGN §10/§15 against the span stream as
 //! it is recorded, surfacing violations the moment they happen instead
 //! of post-hoc in suite-specific asserts.
 //!
@@ -17,11 +17,6 @@
 //! * **I3 rollback-after-source-delete** — a chain's reverse
 //!   (compensating) move for hop `h` is only issued after hop `h`'s
 //!   forward op is terminal *and* all its deletes are acked.
-//! * **I4 deferred silence** — an op parked on a cross-shard conflict
-//!   generates zero southbound traffic until resumed or aborted.
-//! * **I5 residue routing** — the shard an op is routed to matches the
-//!   op-id residue (`(id - 1) % shards`), the arithmetic every
-//!   southbound demux relies on.
 //!
 //! Because sinks run *before* ring insertion (see
 //! [`crate::ObsSink`]), verdicts survive flight-recorder wraparound.
@@ -32,28 +27,25 @@ use std::sync::Mutex;
 
 use crate::phase::{ChainPhases, HopPhase, OpPhases};
 use crate::recorder::{ObsSink, RecordedEvent};
-use crate::span::{ParkReason, SpanEvent};
+use crate::span::SpanEvent;
 
 /// What the monitor needs to know about the run's topology. All fields
 /// describe *configuration*, not state — the monitor learns state from
 /// the stream.
 #[derive(Debug, Clone)]
 pub struct MonitorConfig {
-    /// Number of controller shards (drives the I5 residue check; 1
-    /// makes the check trivially pass, matching the facade).
-    pub shards: u32,
     /// Transfer window for the I1 occupancy bound; 0 = unbounded
     /// (window checking disabled).
     pub transfer_window: u32,
-    /// Ids at or above this are chain ids: exempt from residue
-    /// checking and tracked by the per-chain machine. Matches
+    /// Ids at or above this are chain ids, tracked by the per-chain
+    /// machine. Matches
     /// `openmb_core::chain::CHAIN_OP_BASE` by default.
     pub chain_op_base: u64,
 }
 
 impl Default for MonitorConfig {
     fn default() -> Self {
-        MonitorConfig { shards: 1, transfer_window: 0, chain_op_base: 1 << 62 }
+        MonitorConfig { transfer_window: 0, chain_op_base: 1 << 62 }
     }
 }
 
@@ -69,12 +61,6 @@ pub enum Violation {
     /// I3: a chain issued a compensating reverse move before the
     /// forward op's terminal state + source-delete acks.
     EarlyRollback { chain: u64, hop: u32, forward_op: u64, t_ns: u64 },
-    /// I4: a deferred (cross-shard-parked) op generated southbound
-    /// traffic; `event` is the rendered offending event.
-    DeferredOpTraffic { op: u64, event: String, t_ns: u64 },
-    /// I5: an op was routed to a shard that does not match its id
-    /// residue.
-    ResidueMismatch { op: u64, shard: u32, expected: u32, t_ns: u64 },
 }
 
 impl fmt::Display for Violation {
@@ -91,24 +77,16 @@ impl fmt::Display for Violation {
                 f,
                 "early-rollback(chain={chain}, hop={hop}, forward_op={forward_op}, t_ns={t_ns})"
             ),
-            Violation::DeferredOpTraffic { op, event, t_ns } => {
-                write!(f, "deferred-op-traffic(op={op}, event={event}, t_ns={t_ns})")
-            }
-            Violation::ResidueMismatch { op, shard, expected, t_ns } => write!(
-                f,
-                "residue-mismatch(op={op}, shard={shard}, expected={expected}, t_ns={t_ns})"
-            ),
         }
     }
 }
 
 /// Per-operation track: ledger occupancy, terminal state, delete
-/// accounting, deferral flag — everything the invariants and the phase
-/// attribution need.
+/// accounting — everything the invariants and the phase attribution
+/// need.
 #[derive(Debug, Default, Clone)]
 struct OpTrack {
     kind: Option<&'static str>,
-    shard: Option<u32>,
     /// Admitted-but-unacked put seqs (mirrors the controller's
     /// unacked-put ledger, rebuilt from PutAdmitted/ChunkAcked).
     outstanding: BTreeSet<u64>,
@@ -120,7 +98,6 @@ struct OpTrack {
     last_delete_ack_at: Option<u64>,
     deletes_issued: u64,
     deletes_acked: u64,
-    deferred: bool,
 }
 
 impl OpTrack {
@@ -181,50 +158,10 @@ impl Monitor {
         let t = ev.t_ns;
         let track = st.ops.entry(op).or_default();
 
-        // I4: any traffic-generating event on a deferred op is a
-        // violation. Sub-op issuance, put admission, acks, and delete
-        // activity all imply southbound frames.
-        if track.deferred {
-            let is_traffic = matches!(
-                ev.event,
-                SpanEvent::Issued { .. }
-                    | SpanEvent::PutAdmitted { .. }
-                    | SpanEvent::ChunkAcked { .. }
-                    | SpanEvent::DeleteIssued { .. }
-                    | SpanEvent::DeleteRetried
-                    | SpanEvent::Handled { .. }
-            ) && ev.sub.is_some();
-            if is_traffic {
-                st.violations.push(Violation::DeferredOpTraffic {
-                    op,
-                    event: ev.event.to_string(),
-                    t_ns: t,
-                });
-            }
-        }
-
         match &ev.event {
             SpanEvent::Issued { kind } if ev.sub.is_none() => {
                 track.kind.get_or_insert(kind);
                 track.issued_at.get_or_insert(t);
-            }
-            SpanEvent::OpRouted { shard, .. } => {
-                track.shard = Some(*shard);
-                track.issued_at.get_or_insert(t);
-                // I5: op ids are allocated from the owning shard's
-                // residue stream, so routing must agree with the
-                // arithmetic demux.
-                if self.cfg.shards > 1 {
-                    let expected = ((op - 1) % u64::from(self.cfg.shards)) as u32;
-                    if *shard != expected {
-                        st.violations.push(Violation::ResidueMismatch {
-                            op,
-                            shard: *shard,
-                            expected,
-                            t_ns: t,
-                        });
-                    }
-                }
             }
             SpanEvent::PutAdmitted { seq } => {
                 track.first_admit_at.get_or_insert(t);
@@ -245,21 +182,13 @@ impl Monitor {
             SpanEvent::ChunkAcked { seq } => {
                 track.outstanding.remove(seq);
             }
-            SpanEvent::Parked { reason } if *reason == ParkReason::CrossShardConflict => {
-                track.deferred = true;
-            }
-            SpanEvent::Resumed { .. } => {
-                track.deferred = false;
-            }
             SpanEvent::Completed if ev.sub.is_none() => {
                 track.completed_at.get_or_insert(t);
             }
             SpanEvent::Aborted { .. } => {
                 track.aborted_at.get_or_insert(t);
-                // Teardown clears the pipeline; the deferral (if any)
-                // died with the op.
+                // Teardown clears the pipeline.
                 track.outstanding.clear();
-                track.deferred = false;
             }
             SpanEvent::DeleteIssued { mb } => {
                 // I2: deletes mutate MB state destructively — the
@@ -283,7 +212,7 @@ impl Monitor {
     fn ingest_chain(&self, st: &mut MonState, chain: u64, ev: &RecordedEvent) {
         let t = ev.t_ns;
         match &ev.event {
-            SpanEvent::OpRouted { .. } | SpanEvent::Issued { .. } => {
+            SpanEvent::Issued { .. } => {
                 st.chains.entry(chain).or_default().issued_at.get_or_insert(t);
             }
             SpanEvent::ChainHop { hop } => {
@@ -343,7 +272,6 @@ impl Monitor {
                 OpPhases {
                     op,
                     kind: tr.kind,
-                    shard: tr.shard,
                     committed: tr.completed_at.is_some(),
                     aborted: tr.aborted_at.is_some(),
                     admit_ns: sub(tr.issued_at, tr.first_admit_at),
@@ -384,12 +312,6 @@ impl Monitor {
             .collect()
     }
 
-    /// Number of op tracks currently deferred (parked on a cross-shard
-    /// conflict and not yet resumed/aborted).
-    pub fn deferred_ops(&self) -> usize {
-        self.state.lock().unwrap().ops.values().filter(|t| t.deferred).count()
-    }
-
     /// Number of chains the monitor has seen without a terminal event.
     pub fn open_chains(&self) -> usize {
         let st = self.state.lock().unwrap();
@@ -413,19 +335,18 @@ mod tests {
         RecordedEvent { t_ns, node: NodeTag::NONE, op, sub, event }
     }
 
-    fn cfg(shards: u32, window: u32) -> MonitorConfig {
-        MonitorConfig { shards, transfer_window: window, ..MonitorConfig::default() }
+    fn cfg(window: u32) -> MonitorConfig {
+        MonitorConfig { transfer_window: window, ..MonitorConfig::default() }
     }
 
-    /// A complete well-behaved lifecycle — issue, route, windowed
+    /// A complete well-behaved lifecycle — issue, windowed
     /// puts, acks, completion, quiescence deletes — is violation-free
     /// and yields a full phase breakdown.
     #[test]
     fn clean_lifecycle_has_no_violations() {
-        let m = Monitor::new(cfg(4, 2));
-        let op = 5u64; // residue (5-1)%4 = 0
+        let m = Monitor::new(cfg(2));
+        let op = 5u64;
         m.ingest(&ev(10, Some(op), None, SpanEvent::Issued { kind: "moveInternal" }));
-        m.ingest(&ev(10, Some(op), None, SpanEvent::OpRouted { shard: 0, pinned: false }));
         m.ingest(&ev(20, Some(op), Some(6), SpanEvent::PutAdmitted { seq: 0 }));
         m.ingest(&ev(21, Some(op), Some(7), SpanEvent::PutAdmitted { seq: 1 }));
         m.ingest(&ev(30, Some(op), Some(6), SpanEvent::ChunkAcked { seq: 0 }));
@@ -446,7 +367,6 @@ mod tests {
         assert_eq!(p.quiesce_ns, Some(10));
         assert_eq!(p.delete_ns, Some(10));
         assert_eq!(p.total_ns, Some(60));
-        assert_eq!(p.shard, Some(0));
         assert_eq!(p.kind, Some("moveInternal"));
     }
 
@@ -454,7 +374,7 @@ mod tests {
     /// an ack in between must flag.
     #[test]
     fn detects_window_exceeded() {
-        let m = Monitor::new(cfg(1, 2));
+        let m = Monitor::new(cfg(2));
         m.ingest(&ev(1, Some(1), None, SpanEvent::Issued { kind: "moveInternal" }));
         m.ingest(&ev(2, Some(1), Some(2), SpanEvent::PutAdmitted { seq: 0 }));
         m.ingest(&ev(3, Some(1), Some(2), SpanEvent::PutAdmitted { seq: 1 }));
@@ -470,13 +390,13 @@ mod tests {
     /// terminal event must not.
     #[test]
     fn detects_delete_before_terminal() {
-        let m = Monitor::new(cfg(1, 0));
+        let m = Monitor::new(cfg(0));
         m.ingest(&ev(1, Some(1), None, SpanEvent::Issued { kind: "moveInternal" }));
         m.ingest(&ev(2, Some(1), Some(2), SpanEvent::DeleteIssued { mb: 3 }));
         assert_eq!(m.violations(), vec![Violation::DeleteBeforeTerminal { op: 1, mb: 3, t_ns: 2 }]);
 
         // Aborted ops may compensate freely.
-        let m2 = Monitor::new(cfg(1, 0));
+        let m2 = Monitor::new(cfg(0));
         m2.ingest(&ev(1, Some(1), None, SpanEvent::Issued { kind: "moveInternal" }));
         m2.ingest(&ev(2, Some(1), None, SpanEvent::Aborted { error: "deadline".into() }));
         m2.ingest(&ev(3, Some(1), Some(2), SpanEvent::DeleteIssued { mb: 3 }));
@@ -489,7 +409,7 @@ mod tests {
     #[test]
     fn detects_early_rollback() {
         let chain = (1u64 << 62) + 1;
-        let m = Monitor::new(cfg(1, 0));
+        let m = Monitor::new(cfg(0));
         // Forward hop op 7 completes and issues its source delete...
         m.ingest(&ev(1, Some(7), None, SpanEvent::Issued { kind: "moveInternal" }));
         m.ingest(&ev(2, Some(7), None, SpanEvent::Completed));
@@ -501,63 +421,13 @@ mod tests {
             vec![Violation::EarlyRollback { chain, hop: 0, forward_op: 7, t_ns: 4 }]
         );
 
-        let m2 = Monitor::new(cfg(1, 0));
+        let m2 = Monitor::new(cfg(0));
         m2.ingest(&ev(1, Some(7), None, SpanEvent::Issued { kind: "moveInternal" }));
         m2.ingest(&ev(2, Some(7), None, SpanEvent::Completed));
         m2.ingest(&ev(3, Some(7), Some(8), SpanEvent::DeleteIssued { mb: 0 }));
         m2.ingest(&ev(4, Some(7), Some(8), SpanEvent::DeleteAcked));
         m2.ingest(&ev(5, Some(chain), None, SpanEvent::ChainUndo { hop: 0, undoes: 7 }));
         assert_eq!(m2.violations(), vec![]);
-    }
-
-    /// I4 negative: a deferred op that emits sub-op traffic before its
-    /// Resumed event must flag; after Resumed the same traffic is
-    /// legal.
-    #[test]
-    fn detects_deferred_op_traffic() {
-        let m = Monitor::new(cfg(4, 0));
-        let op = 2u64; // residue 1
-        m.ingest(&ev(1, Some(op), None, SpanEvent::Issued { kind: "moveInternal" }));
-        m.ingest(&ev(1, Some(op), None, SpanEvent::OpRouted { shard: 1, pinned: true }));
-        m.ingest(&ev(
-            2,
-            Some(op),
-            None,
-            SpanEvent::Parked { reason: ParkReason::CrossShardConflict },
-        ));
-        m.ingest(&ev(3, Some(op), Some(6), SpanEvent::PutAdmitted { seq: 0 }));
-        assert_eq!(
-            m.violations(),
-            vec![Violation::DeferredOpTraffic { op, event: "put-admitted(seq=0)".into(), t_ns: 3 }]
-        );
-
-        let m2 = Monitor::new(cfg(4, 0));
-        m2.ingest(&ev(1, Some(op), None, SpanEvent::OpRouted { shard: 1, pinned: true }));
-        m2.ingest(&ev(
-            2,
-            Some(op),
-            None,
-            SpanEvent::Parked { reason: ParkReason::CrossShardConflict },
-        ));
-        m2.ingest(&ev(3, Some(op), None, SpanEvent::Resumed { from_seq: 0 }));
-        m2.ingest(&ev(4, Some(op), Some(6), SpanEvent::PutAdmitted { seq: 0 }));
-        assert_eq!(m2.violations(), vec![]);
-    }
-
-    /// I5 negative: routing op 6 (residue 1 of 4) to shard 2 must
-    /// flag.
-    #[test]
-    fn detects_residue_mismatch() {
-        let m = Monitor::new(cfg(4, 0));
-        m.ingest(&ev(1, Some(6), None, SpanEvent::OpRouted { shard: 2, pinned: false }));
-        assert_eq!(
-            m.violations(),
-            vec![Violation::ResidueMismatch { op: 6, shard: 2, expected: 1, t_ns: 1 }]
-        );
-        // Chain ids are synthetic and exempt.
-        let chain = (1u64 << 62) + 5;
-        m.ingest(&ev(2, Some(chain), None, SpanEvent::OpRouted { shard: 3, pinned: false }));
-        assert_eq!(m.violation_count(), 1);
     }
 
     /// Satellite: ring wraparound must not lose verdicts. The
@@ -567,7 +437,7 @@ mod tests {
     fn violations_survive_ring_wraparound() {
         let rec = Recorder::enabled(4);
         let tag = rec.register("ctrl");
-        let m = Arc::new(Monitor::new(cfg(1, 1)));
+        let m = Arc::new(Monitor::new(cfg(1)));
         rec.add_sink(m.clone());
 
         // Two admissions with no ack: the second violates window=1.

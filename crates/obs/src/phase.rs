@@ -20,9 +20,6 @@ pub struct OpPhases {
     pub op: u64,
     /// Northbound kind from the op-level `Issued` event.
     pub kind: Option<&'static str>,
-    /// Owning shard from `OpRouted` (None at shards=1 embeddings that
-    /// skip routing spans).
-    pub shard: Option<u32>,
     pub committed: bool,
     pub aborted: bool,
     pub admit_ns: Option<u64>,
@@ -61,8 +58,6 @@ fn observe_ms(reg: &mut Registry, key: &str, ns: Option<u64>) {
 /// `phase.<name>_ms` aggregates, `phase.by_kind.<kind>.<name>_ms`
 /// per northbound kind. The delete phase splits into
 /// `phase.commit_delete_ms` / `phase.rollback_delete_ms` by outcome.
-/// Per-shard attribution comes from feeding each shard's ops into its
-/// own registry and merging with [`Registry::absorb_all`].
 pub fn export_op_phases(reg: &mut Registry, phases: &[OpPhases]) {
     for p in phases {
         let delete_key =
@@ -118,7 +113,6 @@ mod tests {
         OpPhases {
             op: 1,
             kind: Some(kind),
-            shard: Some(0),
             committed: !aborted,
             aborted,
             admit_ns: Some(1_000_000),

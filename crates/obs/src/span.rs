@@ -18,10 +18,6 @@ pub enum ParkReason {
     MbUnreachable { mb: u32 },
     /// The transfer stalled (no ack progress within the resume window).
     Stalled,
-    /// The transfer's flowspace conflicts with live transfers on more
-    /// than one shard: admission is deferred until the conflicting ops
-    /// on other shards close.
-    CrossShardConflict,
 }
 
 impl fmt::Display for ParkReason {
@@ -29,7 +25,6 @@ impl fmt::Display for ParkReason {
         match self {
             ParkReason::MbUnreachable { mb } => write!(f, "mb{mb}-unreachable"),
             ParkReason::Stalled => write!(f, "stalled"),
-            ParkReason::CrossShardConflict => write!(f, "cross-shard-conflict"),
         }
     }
 }
@@ -67,9 +62,6 @@ pub enum SpanEvent {
     /// Several same-destination messages were coalesced into one
     /// southbound `Batch` frame before hitting the wire.
     BatchFlushed { count: u32 },
-    /// The shard router admitted the operation onto a controller shard
-    /// (`pinned` when a flowspace conflict overrode the hash placement).
-    OpRouted { shard: u32, pinned: bool },
     /// A put (chunk ref or full chunk) entered the in-flight window
     /// ledger and was handed to the wire. Window-queued puts only get
     /// this event once `refill_window` admits them, so the number of
@@ -82,7 +74,7 @@ pub enum SpanEvent {
     /// terminally rejected (the error path tears the entry down).
     DeleteAcked,
     /// Chain hop `hop`'s forward move was issued (recorded under the
-    /// chain id; the per-hop op gets its own `OpRouted`/`Issued`).
+    /// chain id; the per-hop op gets its own `Issued`).
     ChainHop { hop: u32 },
     /// Chain hop `hop`'s compensating reverse move was issued;
     /// `undoes` is the forward op id being compensated.
@@ -104,9 +96,6 @@ impl fmt::Display for SpanEvent {
             SpanEvent::TransportReattached => write!(f, "transport-reattached"),
             SpanEvent::FaultInjected { kind } => write!(f, "fault({kind})"),
             SpanEvent::BatchFlushed { count } => write!(f, "batch-flushed(count={count})"),
-            SpanEvent::OpRouted { shard, pinned } => {
-                write!(f, "routed(shard={shard}{})", if *pinned { ",pinned" } else { "" })
-            }
             SpanEvent::PutAdmitted { seq } => write!(f, "put-admitted(seq={seq})"),
             SpanEvent::DeleteIssued { mb } => write!(f, "delete-issued(mb={mb})"),
             SpanEvent::DeleteAcked => write!(f, "delete-acked"),

@@ -356,7 +356,8 @@ impl HeaderFieldList {
     /// Direction-insensitive overlap: middleboxes key state by
     /// [`FlowKey::canonical`], so two patterns can select the same state
     /// chunk even when they only intersect after reversing one of them.
-    /// This is the conflict test the shard router uses.
+    /// Two transfers whose patterns overlap this way can touch the same
+    /// middlebox state.
     pub fn overlaps_bidi(&self, other: &HeaderFieldList) -> bool {
         self.overlaps(other) || self.overlaps(&other.reversed())
     }

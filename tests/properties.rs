@@ -305,127 +305,6 @@ mod config_properties {
     }
 }
 
-mod router_chain_properties {
-    use super::*;
-    use openmb::core::chain::CHAIN_OP_BASE;
-    use openmb::core::{Admission, ShardRouter};
-    use openmb::types::MbId;
-
-    const SHARDS: usize = 4;
-    const CHAIN_A: OpId = OpId(CHAIN_OP_BASE + 1);
-
-    /// Hop `i` of every generated chain moves `MbId(2i) → MbId(2i+1)` —
-    /// pairwise-disjoint MB pairs, the shape `chain_move` validates.
-    fn hop_pairs(n: usize) -> Vec<(MbId, MbId)> {
-        (0..n as u32).map(|i| (MbId(2 * i), MbId(2 * i + 1))).collect()
-    }
-
-    fn entries(
-        pattern: &HeaderFieldList,
-        hops: &[(MbId, MbId)],
-    ) -> Vec<(HeaderFieldList, MbId, MbId)> {
-        hops.iter().map(|&(s, d)| (*pattern, s, d)).collect()
-    }
-
-    proptest! {
-        /// A registered chain's conflict footprint is the union of its
-        /// hops: a later single-pair admission pins to the chain's
-        /// shard iff it shares a middlebox with ANY hop and its
-        /// flowspace overlaps the chain's (direction-insensitively);
-        /// otherwise the hash places it unpinned. One chain sits on one
-        /// shard, so a lone chain can never force a deferral.
-        #[test]
-        fn chain_footprint_is_union_of_hops(
-            chain_pat in arb_hfl(),
-            op_pat in arb_hfl(),
-            hops in 2usize..=4,
-            src in 0u32..12,
-            dst in 0u32..12,
-        ) {
-            // Distinct endpoints, as `move_internal` requires.
-            let dst = if src == dst { (dst + 1) % 12 } else { dst };
-            let mut r = ShardRouter::new(SHARDS);
-            let hp = hop_pairs(hops);
-            let ent = entries(&chain_pat, &hp);
-            let shard = match r.admit_chain(&ent) {
-                Admission::Run { shard, pinned: false } => shard,
-                adm => panic!("empty table must hash-place the chain, got {adm:?}"),
-            };
-            r.register_chain(CHAIN_A, &ent, shard);
-
-            let (s, d) = (MbId(src), MbId(dst));
-            let shares_mb =
-                hp.iter().any(|&(hs, hd)| hs == s || hs == d || hd == s || hd == d);
-            let expected = shares_mb && chain_pat.overlaps_bidi(&op_pat);
-            match r.admit(&op_pat, s, d) {
-                Admission::Run { shard: got, pinned: true } => {
-                    prop_assert!(expected, "pinned with no hop conflict");
-                    prop_assert_eq!(got, shard, "must pin to the chain's shard");
-                }
-                Admission::Run { pinned: false, .. } => {
-                    prop_assert!(!expected, "conflicting op must serialize behind the chain");
-                }
-                adm @ Admission::Defer { .. } => {
-                    panic!("one chain on one shard can never defer an op: {adm:?}");
-                }
-            }
-        }
-
-        /// Two chains over the same middleboxes with REVERSED hop
-        /// orders never deadlock: the second chain's admission sees the
-        /// first's whole footprint at once (registration is all-hops-
-        /// before-any-traffic, never incremental), so the verdict is a
-        /// strict serialization — pin behind the first, or independent
-        /// hash placement — never a cyclic wait. Once the first chain
-        /// closes, the reversed chain is free-placed.
-        #[test]
-        fn reversed_hop_orders_cannot_deadlock(
-            pat_a in arb_hfl(),
-            pat_b in arb_hfl(),
-            hops in 2usize..=4,
-        ) {
-            let mut r = ShardRouter::new(SHARDS);
-            let fwd = hop_pairs(hops);
-            let mut rev = fwd.clone();
-            rev.reverse();
-
-            let ea = entries(&pat_a, &fwd);
-            let shard = match r.admit_chain(&ea) {
-                Admission::Run { shard, pinned: false } => shard,
-                adm => panic!("empty table must hash-place the first chain, got {adm:?}"),
-            };
-            r.register_chain(CHAIN_A, &ea, shard);
-
-            let eb = entries(&pat_b, &rev);
-            let conflict = pat_a.overlaps_bidi(&pat_b);
-            match r.admit_chain(&eb) {
-                Admission::Run { shard: got, pinned: true } => {
-                    prop_assert!(conflict, "pinned with disjoint flowspaces");
-                    prop_assert_eq!(got, shard, "reversed chain must serialize behind the first");
-                }
-                Admission::Run { pinned: false, .. } => {
-                    prop_assert!(!conflict, "overlapping reversed chain must not run free");
-                }
-                adm @ Admission::Defer { .. } => {
-                    panic!(
-                        "two chains can only wait one way — a deferral here would be \
-                         the deadlock shape: {adm:?}"
-                    );
-                }
-            }
-
-            // The first chain closes: nothing holds the reversed chain.
-            r.prune(|_, op| op == CHAIN_A);
-            let adm = r.admit_chain(&eb);
-            prop_assert!(
-                matches!(adm, Admission::Run { pinned: false, .. }),
-                "after its blocker closes the reversed chain must be free-placed: {:?}",
-                adm
-            );
-        }
-    }
-}
-
 mod controller_robustness {
     use super::*;
     use openmb::core::controller::{ControllerConfig, ControllerCore};
